@@ -22,8 +22,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -50,10 +52,59 @@ func (r Result) throughput() float64 {
 	return 1e9 / r.NsPerOp
 }
 
+// Host describes the machine a snapshot was measured on. Snapshots hold
+// absolute timings, so a baseline taken on a different host (fewer CPUs, an
+// older core, another Go release) can differ from the current run by more
+// than any code change; the host block makes that visible next to the gate.
+type Host struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	CPUModel   string `json:"cpu_model,omitempty"`
+	GoVersion  string `json:"go_version"`
+}
+
+// String renders the host on one line for the gate report.
+func (h *Host) String() string {
+	if h == nil {
+		return "unrecorded"
+	}
+	model := h.CPUModel
+	if model == "" {
+		model = "unknown CPU"
+	}
+	return fmt.Sprintf("%s, %d CPUs, GOMAXPROCS=%d, %s", model, h.NumCPU, h.GOMAXPROCS, h.GoVersion)
+}
+
+// currentHost describes the machine benchgate runs on, which is the one
+// that ran the benchmarks it folds.
+func currentHost() *Host {
+	h := &Host{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		h.CPUModel = cpuModel(f)
+		f.Close()
+	}
+	return h
+}
+
+// cpuModel returns the first "model name" value of a /proc/cpuinfo listing,
+// or "" when there is none (non-x86 kernels name the field differently).
+func cpuModel(r io.Reader) string {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		k, v, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
 // File is the on-disk snapshot format (BENCH_PR4.json).
 type File struct {
 	// Note documents the file's provenance for human readers.
 	Note string `json:"note,omitempty"`
+	// Host is the machine the current measurements were taken on.
+	Host *Host `json:"host,omitempty"`
 	// Seed preserves the measurements taken at the commit before the
 	// zero-allocation work, for the before/after comparison; it is carried
 	// forward verbatim from the baseline file.
@@ -167,9 +218,16 @@ func main() {
 		}
 	}
 
+	host := currentHost()
+	fmt.Printf("benchgate: host     %s\n", host)
+	if *baseline != "" {
+		fmt.Printf("benchgate: baseline %s\n", base.Host)
+	}
+
 	if *out != "" {
 		snap := File{
 			Note:       "Simulator throughput snapshot; regenerate with `make bench-compare`. `seed` holds the pre-optimisation measurements.",
+			Host:       host,
 			Seed:       base.Seed,
 			Benchmarks: cur,
 		}

@@ -14,6 +14,11 @@
 // can maintain separate speculative and retired copies.
 package bpred
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // History is a global branch history register: bit 0 is the most recent
 // branch outcome (1 = taken).
 type History uint64
@@ -37,11 +42,40 @@ type Predictor interface {
 }
 
 // Perceptron is the Jiménez-Lin perceptron predictor.
+//
+// The history weights are packed for a word-at-a-time dot product (see
+// output): row r's weight for history bit i is the byte w[r*stride+i],
+// stored biased by +128 so every weight in [-127, 127] is a byte in
+// [1, 255]. The stride is histLen rounded up to a multiple of 8, and the
+// padding bytes hold 128 (weight 0). Beside each row sit its bias w0, the
+// sum Σw of its history weights, and a generation counter that every
+// training step bumps, so a caller holding a Vote can tell whether the row
+// has changed since the vote was cast.
 type Perceptron struct {
-	weights [][]int8 // [table][histLen+1], weights[i][0] is the bias
+	w       []byte
+	rows    []percRow
+	stride  int
 	histLen int
+	hmask   uint64 // low histLen bits: the history bits the weights see
 	theta   int32
 }
+
+// percRow is the per-row state kept beside the packed history weights.
+type percRow struct {
+	bias int32  // w0, in [-127, 127]
+	sum  int32  // Σ w_i over the row's history weights (unbiased)
+	gen  uint32 // incremented by every train of the row
+}
+
+// Vote is one perceptron lookup: the output y for a branch, and the
+// generation of the row that produced it. Its direction is y >= 0.
+type Vote struct {
+	Y   int32
+	Gen uint32
+}
+
+// Taken reports the vote's predicted direction.
+func (v Vote) Taken() bool { return v.Y >= 0 }
 
 // PerceptronDefaultTables and PerceptronDefaultHist match Table 1 (16KB:
 // 256 entries × 65 8-bit weights).
@@ -60,61 +94,104 @@ func NewPerceptron(tables, histLen int) *Perceptron {
 	if histLen <= 0 || histLen > 64 {
 		histLen = PerceptronDefaultHist
 	}
+	stride := (histLen + 7) &^ 7
 	p := &Perceptron{
-		weights: make([][]int8, tables),
+		w:       make([]byte, tables*stride),
+		rows:    make([]percRow, tables),
+		stride:  stride,
 		histLen: histLen,
+		hmask:   ^uint64(0) >> (64 - histLen),
 		// Training threshold from Jiménez & Lin: 1.93*h + 14.
 		theta: int32(1.93*float64(histLen) + 14),
 	}
-	for i := range p.weights {
-		p.weights[i] = make([]int8, histLen+1)
+	for i := range p.w {
+		p.w[i] = weightBias
 	}
 	return p
 }
 
-func (p *Perceptron) index(pc int) int { return pc & (len(p.weights) - 1) }
+// weightBias is the offset of the packed byte encoding: byte = weight + 128.
+const weightBias = 128
 
-// output computes the perceptron sum y = w0 + sum_i (h_i ? +w_i : -w_i).
-// The loop is branchless — history bits near 50% taken make a per-bit branch
-// mispredict constantly — using the identity (w ^ m) - m == (m == 0 ? w : -w)
-// for m in {0, -1}, and unrolled 4×. The result is bit-identical to the
-// naive add/subtract formulation: every term is the exact ±w_i.
-func (p *Perceptron) output(pc int, h History) int32 {
-	w := p.weights[p.index(pc)]
-	_ = w[p.histLen]
-	y := int32(w[0])
-	hh := uint64(h)
-	i := 1
-	for ; i+3 <= p.histLen; i += 4 {
-		m0 := int32(hh&1) - 1
-		m1 := int32(hh>>1&1) - 1
-		m2 := int32(hh>>2&1) - 1
-		m3 := int32(hh>>3&1) - 1
-		y += (int32(w[i]) ^ m0) - m0
-		y += (int32(w[i+1]) ^ m1) - m1
-		y += (int32(w[i+2]) ^ m2) - m2
-		y += (int32(w[i+3]) ^ m3) - m3
-		hh >>= 4
+// laneMask[b] has byte lane i set to 0xFF exactly when bit i of b is set.
+var laneMask = func() (t [256]uint64) {
+	for b := range t {
+		for i := 0; i < 8; i++ {
+			if b>>i&1 != 0 {
+				t[b] |= 0xFF << (8 * i)
+			}
+		}
 	}
-	for ; i <= p.histLen; i++ {
-		m := int32(hh&1) - 1
-		y += (int32(w[i]) ^ m) - m
-		hh >>= 1
+	return t
+}()
+
+func (p *Perceptron) index(pc int) int { return pc & (len(p.rows) - 1) }
+
+// output computes the perceptron sum y = w0 + Σ_i (h_i ? +w_i : -w_i) of row
+// r under history h, through the identity
+//
+//	y = w0 + 2·Σ_{h_i=1} w_i − Σw
+//
+// where Σw is the row's cached weight sum. The masked sum runs over the
+// packed bytes eight lanes at a time: each 8-byte word is ANDed with the
+// lane mask of its history byte, folded pairwise into four 16-bit lanes and
+// accumulated; one multiply by 0x0001000100010001 then adds the four lanes
+// into the top 16 bits. Every lane is at most 8 words × 2 bytes × 255 =
+// 4080 and the four-lane total at most 16320, so nothing carries across a
+// lane: the sum is exact. Subtracting 128 per set history bit removes the
+// byte bias, leaving Σ_{h_i=1} w_i. All of it is exact integer arithmetic,
+// so y is bit-identical to the term-by-term ±w_i sum.
+func (p *Perceptron) output(r int, h History) int32 {
+	hm := uint64(h) & p.hmask
+	row := p.w[r*p.stride : (r+1)*p.stride]
+	const lo = 0x00FF00FF00FF00FF
+	var acc uint64
+	for hh := hm; len(row) >= 8; hh >>= 8 {
+		x := binary.LittleEndian.Uint64(row) & laneMask[byte(hh)]
+		acc += x&lo + x>>8&lo
+		row = row[8:]
 	}
-	return y
+	set := int32(acc*0x0001000100010001>>48) - weightBias*int32(bits.OnesCount64(hm))
+	pr := &p.rows[r]
+	return pr.bias + 2*set - pr.sum
 }
 
 // Predict implements Predictor.
-func (p *Perceptron) Predict(pc int, h History) bool { return p.output(pc, h) >= 0 }
+func (p *Perceptron) Predict(pc int, h History) bool {
+	return p.output(p.index(pc), h) >= 0
+}
+
+// Lookup predicts the branch at pc under h and returns the vote, for a
+// caller that will train the same branch later with UpdateVote.
+func (p *Perceptron) Lookup(pc int, h History) Vote {
+	r := p.index(pc)
+	return Vote{Y: p.output(r, h), Gen: p.rows[r].gen}
+}
 
 // Update implements Predictor: train on misprediction or weak output.
 func (p *Perceptron) Update(pc int, h History, taken bool) {
-	y := p.output(pc, h)
-	pred := y >= 0
-	if pred == taken && abs32(y) > p.theta {
-		return
+	r := p.index(pc)
+	p.resolve(r, h, p.output(r, h), taken)
+}
+
+// UpdateVote is Update for a branch whose vote v was returned by Lookup with
+// the same pc and h. When the row has not been trained since the lookup its
+// output is still v.Y, so the dot product is not recomputed; otherwise it
+// is. Either way the result is exactly that of Update.
+//
+// The generation is a uint32, so a stale vote could only be mistaken for a
+// fresh one after 2^32 trains of its row between lookup and update. In the
+// pipeline the trains in that window come from the retirement of branches
+// older than the one in flight, all of which were already in the machine
+// when it was fetched, so their number is bounded by the reorder buffer and
+// fetch queue capacities, far below 2^32.
+func (p *Perceptron) UpdateVote(pc int, h History, taken bool, v Vote) {
+	r := p.index(pc)
+	y := v.Y
+	if v.Gen != p.rows[r].gen {
+		y = p.output(r, h)
 	}
-	p.train(pc, h, taken)
+	p.resolve(r, h, y, taken)
 }
 
 // PredictAndTrain predicts the branch and immediately trains on its resolved
@@ -122,40 +199,48 @@ func (p *Perceptron) Update(pc int, h History, taken bool) {
 // Predict followed by Update with the same arguments; the profiler uses it
 // because it resolves each branch in the same step it predicts it.
 func (p *Perceptron) PredictAndTrain(pc int, h History, taken bool) bool {
-	y := p.output(pc, h)
+	r := p.index(pc)
+	return p.resolve(r, h, p.output(r, h), taken)
+}
+
+// resolve is the training decision shared by every update path: row r,
+// whose output under h is y, trains toward taken on a misprediction or when
+// |y| does not exceed the threshold. It returns the predicted direction.
+func (p *Perceptron) resolve(r int, h History, y int32, taken bool) bool {
 	pred := y >= 0
-	if pred == taken && abs32(y) > p.theta {
-		return pred
+	if pred != taken || abs32(y) <= p.theta {
+		p.train(r, h, taken)
 	}
-	p.train(pc, h, taken)
 	return pred
 }
 
-// train applies one saturating-increment step toward the outcome. The weight
-// update is branchless on the history bits: d = +1 when the bit agrees with
-// the outcome, -1 otherwise, clamped to ±127. Weights never reach -128, so
-// the clamp is exactly sat8.
-func (p *Perceptron) train(pc int, h History, taken bool) {
-	w := p.weights[p.index(pc)]
-	_ = w[p.histLen]
-	w[0] = sat8(w[0], taken)
+// train applies one saturating-increment step of row r toward the outcome:
+// each history weight moves +1 when its bit agrees with the outcome and -1
+// otherwise, clamped to ±127 (bytes [1, 255]), and Σw follows the weights.
+func (p *Perceptron) train(r int, h History, taken bool) {
+	pr := &p.rows[r]
+	pr.bias = int32(sat8(int8(pr.bias), taken))
+	row := p.w[r*p.stride : r*p.stride+p.histLen]
 	t := uint64(0)
 	if taken {
 		t = 1
 	}
 	hh := uint64(h)
-	for i := 1; i <= p.histLen; i++ {
-		d := int32(1) - int32((hh&1)^t)<<1
-		v := int32(w[i]) + d
-		if v > 127 {
-			v = 127
+	sum := pr.sum
+	for i, b := range row {
+		v := int32(b) + 1 - int32((hh&1)^t)<<1
+		if v > weightBias+127 {
+			v = weightBias + 127
 		}
-		if v < -127 {
-			v = -127
+		if v < weightBias-127 {
+			v = weightBias - 127
 		}
-		w[i] = int8(v)
+		row[i] = byte(v)
+		sum += v - int32(b)
 		hh >>= 1
 	}
+	pr.sum = sum
+	pr.gen++
 }
 
 func sat8(w int8, up bool) int8 {

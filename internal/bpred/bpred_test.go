@@ -1,7 +1,9 @@
 package bpred
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -96,25 +98,277 @@ func TestPerceptronRandomIsHard(t *testing.T) {
 	}
 }
 
-func TestPerceptronWeightSaturation(t *testing.T) {
-	p := NewPerceptron(4, 8)
-	for i := 0; i < 100000; i++ {
-		p.Update(0, 0xFF, true)
+// refPerceptron is the scalar reference kernel the packed Perceptron must
+// match bit for bit. It is the predictor's original layout and arithmetic:
+// one int8 slice per row with weights[r][0] the bias, a branchless ±w_i dot
+// product unrolled 4×, and a per-weight saturating train.
+type refPerceptron struct {
+	weights [][]int8 // [table][histLen+1], weights[i][0] is the bias
+	histLen int
+	theta   int32
+}
+
+func newRefPerceptron(tables, histLen int) *refPerceptron {
+	p := &refPerceptron{
+		weights: make([][]int8, ceilPow2(tables)),
+		histLen: histLen,
+		theta:   int32(1.93*float64(histLen) + 14),
 	}
-	for _, w := range p.weights[0] {
-		if w > 127 || w < -127 {
-			t.Fatalf("weight out of range: %d", w)
+	for i := range p.weights {
+		p.weights[i] = make([]int8, histLen+1)
+	}
+	return p
+}
+
+func (p *refPerceptron) index(pc int) int { return pc & (len(p.weights) - 1) }
+
+// output computes y = w0 + sum_i (h_i ? +w_i : -w_i) using the identity
+// (w ^ m) - m == (m == 0 ? w : -w) for m in {0, -1}.
+func (p *refPerceptron) output(pc int, h History) int32 {
+	w := p.weights[p.index(pc)]
+	_ = w[p.histLen]
+	y := int32(w[0])
+	hh := uint64(h)
+	i := 1
+	for ; i+3 <= p.histLen; i += 4 {
+		m0 := int32(hh&1) - 1
+		m1 := int32(hh>>1&1) - 1
+		m2 := int32(hh>>2&1) - 1
+		m3 := int32(hh>>3&1) - 1
+		y += (int32(w[i]) ^ m0) - m0
+		y += (int32(w[i+1]) ^ m1) - m1
+		y += (int32(w[i+2]) ^ m2) - m2
+		y += (int32(w[i+3]) ^ m3) - m3
+		hh >>= 4
+	}
+	for ; i <= p.histLen; i++ {
+		m := int32(hh&1) - 1
+		y += (int32(w[i]) ^ m) - m
+		hh >>= 1
+	}
+	return y
+}
+
+func (p *refPerceptron) update(pc int, h History, taken bool) {
+	y := p.output(pc, h)
+	if (y >= 0) == taken && abs32(y) > p.theta {
+		return
+	}
+	p.train(pc, h, taken)
+}
+
+func (p *refPerceptron) train(pc int, h History, taken bool) {
+	w := p.weights[p.index(pc)]
+	_ = w[p.histLen]
+	w[0] = sat8(w[0], taken)
+	t := uint64(0)
+	if taken {
+		t = 1
+	}
+	hh := uint64(h)
+	for i := 1; i <= p.histLen; i++ {
+		d := int32(1) - int32((hh&1)^t)<<1
+		v := int32(w[i]) + d
+		if v > 127 {
+			v = 127
 		}
+		if v < -127 {
+			v = -127
+		}
+		w[i] = int8(v)
+		hh >>= 1
+	}
+}
+
+// weight returns the packed history weight i of row r, unbiased.
+func (p *Perceptron) weight(r, i int) int8 {
+	return int8(int32(p.w[r*p.stride+i]) - weightBias)
+}
+
+// checkAgainstRef compares every bias and history weight of p with the
+// reference, and checks the packed invariants: Σw matches the weights and
+// the padding bytes hold the bias value.
+func checkAgainstRef(t *testing.T, label string, p *Perceptron, ref *refPerceptron) {
+	t.Helper()
+	for r, w := range ref.weights {
+		if got := p.rows[r].bias; got != int32(w[0]) {
+			t.Fatalf("%s: row %d bias = %d, want %d", label, r, got, w[0])
+		}
+		sum := int32(0)
+		for i := 1; i <= ref.histLen; i++ {
+			if got := p.weight(r, i-1); got != w[i] {
+				t.Fatalf("%s: row %d weight %d = %d, want %d", label, r, i-1, got, w[i])
+			}
+			sum += int32(w[i])
+		}
+		if p.rows[r].sum != sum {
+			t.Fatalf("%s: row %d Σw = %d, want %d", label, r, p.rows[r].sum, sum)
+		}
+		for i := ref.histLen; i < p.stride; i++ {
+			if b := p.w[r*p.stride+i]; b != weightBias {
+				t.Fatalf("%s: row %d padding byte %d = %d", label, r, i, b)
+			}
+		}
+	}
+}
+
+// TestPerceptronMatchesReference drives the packed kernel and the scalar
+// reference with the same seeded (pc, history, outcome) streams across
+// history lengths that straddle the 8-byte word boundaries and table counts
+// from one row up, comparing the output at every step and all weights at the
+// end. Random phases alternate with saturating phases, which train one
+// branch 300 times under a fixed history, driving its bias and every history
+// weight to +127 or -127 (threshold training alone stops far short of
+// that); the random phases that follow then predict and train from the
+// clamps. The PCs alias onto shared rows, and the histories carry bits above
+// histLen, which the kernel must ignore.
+func TestPerceptronMatchesReference(t *testing.T) {
+	for _, histLen := range []int{1, 7, 8, 9, 31, 63, 64} {
+		for _, tables := range []int{1, 2, 256} {
+			label := fmt.Sprintf("hist=%d tables=%d", histLen, tables)
+			p, ref := NewPerceptron(tables, histLen), newRefPerceptron(tables, histLen)
+			rng := rand.New(rand.NewSource(int64(histLen*1000 + tables)))
+			pcs := []int{3, 3 + tables, 3 + 2*tables, 7, 7 + 256, 100}
+			for phase := 0; phase < 12; phase++ {
+				if phase%2 == 1 {
+					pc, h, taken := pcs[rng.Intn(len(pcs))], History(rng.Uint64()), rng.Intn(2) == 0
+					for i := 0; i < 300; i++ {
+						p.train(p.index(pc), h, taken)
+						ref.train(pc, h, taken)
+					}
+					w := ref.weights[ref.index(pc)]
+					if w[0] != pole(taken) || w[1] != pole((h&1 != 0) == taken) {
+						t.Fatalf("%s phase %d: weights not saturated: %v", label, phase, w[:2])
+					}
+					continue
+				}
+				for i := 0; i < 600; i++ {
+					pc, h, taken := pcs[rng.Intn(len(pcs))], History(rng.Uint64()), rng.Intn(2) == 0
+					want := ref.output(pc, h)
+					if got := p.output(p.index(pc), h); got != want {
+						t.Fatalf("%s phase %d step %d: output = %d, want %d", label, phase, i, got, want)
+					}
+					// Exercise every update path; all must train identically.
+					switch i % 3 {
+					case 0:
+						p.Update(pc, h, taken)
+					case 1:
+						if got := p.PredictAndTrain(pc, h, taken); got != (want >= 0) {
+							t.Fatalf("%s: PredictAndTrain = %v, want %v", label, got, want >= 0)
+						}
+					default:
+						p.UpdateVote(pc, h, taken, p.Lookup(pc, h))
+					}
+					ref.update(pc, h, taken)
+				}
+			}
+			checkAgainstRef(t, label, p, ref)
+		}
+	}
+}
+
+// pole is the saturated weight a run of agreeing (up) or disagreeing trains
+// converges to.
+func pole(up bool) int8 {
+	if up {
+		return 127
+	}
+	return -127
+}
+
+// TestPerceptronWeightSaturation trains every row hard in both directions
+// and checks that the bias and every history weight stop at exactly ±127.
+func TestPerceptronWeightSaturation(t *testing.T) {
+	const tables, histLen = 4, 12
+	for _, taken := range []bool{true, false} {
+		p := NewPerceptron(tables, histLen)
+		h := History(0xA5A) // mixed bits: agreeing and disagreeing weights
+		for i := 0; i < 400; i++ {
+			for r := 0; r < tables; r++ {
+				p.train(r, h, taken)
+			}
+		}
+		for r := 0; r < tables; r++ {
+			if got, want := p.rows[r].bias, int32(pole(taken)); got != want {
+				t.Errorf("taken=%v row %d: bias = %d, want %d", taken, r, got, want)
+			}
+			for i := 0; i < histLen; i++ {
+				if got, want := p.weight(r, i), pole((h>>i&1 != 0) == taken); got != want {
+					t.Errorf("taken=%v row %d weight %d = %d, want %d", taken, r, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPerceptronStaleVote: a vote cast before another branch trains the same
+// row is stale, and UpdateVote must notice and recompute rather than train
+// from the old output. The result must equal a plain Update.
+func TestPerceptronStaleVote(t *testing.T) {
+	const tables, histLen = 16, 32
+	pcA, pcB := 5, 5+tables // alias onto row 5
+	// B trains not-taken under A's history, flipping A's output from
+	// confidently taken (no training) to confidently not-taken (a
+	// misprediction that trains): a stale vote changes the decision.
+	hA, hB := History(0x0F0F_1234), History(0x0F0F_1234)
+	mk := func() *Perceptron {
+		p := NewPerceptron(tables, histLen)
+		for i := 0; i < 20; i++ {
+			p.Update(pcA, hA, true) // make A's output strongly positive
+		}
+		return p
+	}
+	got, want := mk(), mk()
+	v := got.Lookup(pcA, hA)
+	for i := 0; i < 200; i++ {
+		got.Update(pcB, hB, false)
+		want.Update(pcB, hB, false)
+	}
+	if v.Gen == got.rows[got.index(pcA)].gen {
+		t.Fatal("training the aliasing branch did not bump the row generation")
+	}
+	if v.Y < 0 || got.output(got.index(pcA), hA) >= 0 {
+		t.Fatal("test setup: aliasing training did not flip A's vote")
+	}
+	got.UpdateVote(pcA, hA, true, v)
+	want.Update(pcA, hA, true)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("UpdateVote with a stale vote diverged from Update")
+	}
+}
+
+// BenchmarkPerceptron measures one predict-then-update pair at the Table 1
+// geometry over a seeded branch stream, the pipeline's per-branch pattern.
+func BenchmarkPerceptron(b *testing.B) {
+	const n = 1 << 12
+	rng := rand.New(rand.NewSource(1))
+	pcs, taken := make([]int, n), make([]bool, n)
+	for i := range pcs {
+		pcs[i] = rng.Intn(4096)
+		taken[i] = rng.Intn(3) != 0
+	}
+	p := NewPerceptron(PerceptronDefaultTables, PerceptronDefaultHist)
+	var h History
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (n - 1)
+		v := p.Lookup(pcs[j], h)
+		p.UpdateVote(pcs[j], h, taken[j], v)
+		h = h.Push(taken[j])
 	}
 }
 
 func TestPerceptronDefaults(t *testing.T) {
 	p := NewPerceptron(0, 0)
-	if len(p.weights) != PerceptronDefaultTables {
-		t.Errorf("tables = %d", len(p.weights))
+	if len(p.rows) != PerceptronDefaultTables {
+		t.Errorf("tables = %d", len(p.rows))
 	}
 	if p.histLen != PerceptronDefaultHist {
 		t.Errorf("histLen = %d", p.histLen)
+	}
+	if len(p.w) != PerceptronDefaultTables*PerceptronDefaultHist {
+		t.Errorf("packed weights = %d bytes, want 16KB", len(p.w))
 	}
 	hist := float64(PerceptronDefaultHist)
 	if p.theta != int32(1.93*hist+14) {

@@ -172,8 +172,7 @@ func (s *Sim) onTraceLoopInstance(st *stream, e *entry) (bool, int) {
 		s.closeSession(sess)
 	}
 
-	e.fetchHist = st.hist
-	e.predTaken = s.pred.Predict(e.pc, st.hist)
+	s.predict(st, e)
 	e.misp = e.predTaken != e.taken
 	cont := loopContinueTaken(sess.annot)
 
@@ -255,8 +254,7 @@ func (s *Sim) offTraceLoopInstance(st *stream, e *entry) (bool, int) {
 		return false, 0
 	}
 
-	e.fetchHist = st.hist
-	e.predTaken = s.pred.Predict(e.pc, st.hist)
+	s.predict(st, e)
 	cont := loopContinueTaken(sess.annot)
 	st.hist = st.hist.Push(e.predTaken)
 

@@ -22,6 +22,10 @@ const (
 // reorder buffer.
 type entry struct {
 	kind entryKind
+	// refs counts the containers referencing the entry (fetch queue or
+	// reorder buffer, plus the pending-flush list); it returns to the
+	// per-Sim pool when the count drops to zero (see pool.go).
+	refs int8
 	seq  int64
 	pc   int
 	inst isa.Inst
@@ -40,6 +44,8 @@ type entry struct {
 	loopCond bool
 	// fetchHist is the global history at prediction time (for training).
 	fetchHist bpred.History
+	// vote is the predictor's fetch-time output, reused at retire.
+	vote bpred.Vote
 	// Flush-recovery checkpoint (willFlush/loopCond entries only).
 	ckHist   bpred.History
 	ckRAS    *bpred.RASSnapshot
@@ -58,11 +64,6 @@ type entry struct {
 	dispatched bool
 	doneCyc    int64
 	tableCk    *[64]int64 // register table snapshot for flush restore
-
-	// refs counts the containers referencing the entry (fetch queue or
-	// reorder buffer, plus the pending-flush list); it returns to the
-	// per-Sim pool when the count drops to zero (see pool.go).
-	refs int8
 }
 
 // isPredFalse reports whether the entry is a predicated instruction on the

@@ -231,12 +231,20 @@ func (s *Sim) fetchOnTrace(st *stream) (bool, int) {
 	}
 }
 
+// predict looks up the conditional branch e under the stream's history and
+// records the vote, so that retire can train from the fetch-time output
+// instead of recomputing it (Perceptron.UpdateVote).
+func (s *Sim) predict(st *stream, e *entry) {
+	e.fetchHist = st.hist
+	e.vote = s.pred.Lookup(e.pc, st.hist)
+	e.predTaken = e.vote.Taken()
+}
+
 // fetchOnTraceCond handles an on-trace conditional branch: prediction,
 // dpred-mode entry, misprediction bookkeeping and redirection.
 func (s *Sim) fetchOnTraceCond(st *stream, e *entry, tre *traceEntry) (bool, int) {
 	in := e.inst
-	e.fetchHist = st.hist
-	e.predTaken = s.pred.Predict(e.pc, st.hist)
+	s.predict(st, e)
 	e.misp = e.predTaken != e.taken
 
 	// Dynamic predication entry decision.
@@ -328,8 +336,7 @@ func (s *Sim) fetchOffTrace(st *stream) (bool, int) {
 		if s.dp != nil && s.dp.isLoop && e.pc == s.dp.branchPC {
 			return s.offTraceLoopInstance(st, e)
 		}
-		e.fetchHist = st.hist
-		e.predTaken = s.pred.Predict(e.pc, st.hist)
+		s.predict(st, e)
 		st.hist = st.hist.Push(e.predTaken)
 		if e.predTaken {
 			st.pc = in.Target

@@ -22,11 +22,11 @@ import (
 // stale during the skip, which is the SMARTS error model.
 
 // NewFromMachine creates a simulator that consumes its correct path from m,
-// starting at m's current architectural state instead of the program entry
-// point. m is typically a fresh machine restored from an emu.Snapshot; the
-// simulator takes ownership of it for the duration of the run. The trace
-// budget starts empty — RunInterval extends it — so a NewFromMachine Sim is
-// driven interval by interval, not with Run.
+// starting at m's current architectural state; New is NewFromMachine on a
+// fresh machine at the program entry point. The simulator takes ownership of
+// m for the duration of the run. The sampler passes a machine restored from
+// an emu.Snapshot with MaxInsts 0 and drives it interval by interval with
+// RunInterval, which extends the trace budget, instead of with Run.
 func NewFromMachine(m *emu.Machine, cfg Config) *Sim {
 	prog := m.Program()
 	s := &Sim{
@@ -47,9 +47,7 @@ func NewFromMachine(m *emu.Machine, cfg Config) *Sim {
 		issueCnt: make([]uint16, issueRingSize),
 		selRegs:  make([]uint8, 0, 64),
 	}
-	for i := range s.issueTag {
-		s.issueTag[i] = -1
-	}
+	// Address 0 is a valid store-forwarding tag, so empty slots hold -1.
 	for i := range s.sfTag {
 		s.sfTag[i] = -1
 	}

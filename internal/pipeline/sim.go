@@ -54,6 +54,9 @@ type Sim struct {
 	sfTag []int64
 	sfCyc []int64
 
+	// issueTag/issueCnt count issue bandwidth used per cycle in a ring
+	// indexed by cycle. A zero tag marks an empty slot: findIssueSlot only
+	// probes cycles >= 1.
 	issueTag []int64
 	issueCnt []uint16
 
@@ -102,33 +105,7 @@ const issueRingSize = 1 << 18
 
 // New creates a simulator for an annotated program on the given input tape.
 func New(prog *isa.Program, input []int64, cfg Config) *Sim {
-	m := emu.New(prog, input, 0)
-	s := &Sim{
-		cfg:      cfg,
-		prog:     prog,
-		code:     prog.Code,
-		recs:     m.Predecoded().Recs,
-		tr:       newTraceReader(m, cfg.MaxInsts),
-		pred:     bpred.NewPerceptron(cfg.PerceptronTables, cfg.PerceptronHist),
-		conf:     bpred.NewConfidence(cfg.ConfEntries, cfg.ConfHistBits, cfg.ConfThreshold),
-		btb:      bpred.NewBTB(cfg.BTBEntries),
-		hier:     cache.NewHierarchyFrom(cfg.hierConfig()),
-		iHit:     cfg.ICache.HitCycles,
-		dHit:     cfg.DCache.HitCycles,
-		sfTag:    make([]int64, storeFwdSize),
-		sfCyc:    make([]int64, storeFwdSize),
-		issueTag: make([]int64, issueRingSize),
-		issueCnt: make([]uint16, issueRingSize),
-		selRegs:  make([]uint8, 0, 64),
-	}
-	for i := range s.issueTag {
-		s.issueTag[i] = -1
-	}
-	for i := range s.sfTag {
-		s.sfTag[i] = -1
-	}
-	s.streams = []*stream{newStream(prog.Entry, true, cfg.RASDepth)}
-	return s
+	return NewFromMachine(emu.New(prog, input, 0), cfg)
 }
 
 // Run simulates to completion and returns the statistics.
@@ -569,7 +546,7 @@ func (s *Sim) retireEntry(e *entry) {
 			if e.misp {
 				s.stats.Mispredicted++
 			}
-			s.pred.Update(e.pc, e.fetchHist, e.taken)
+			s.pred.UpdateVote(e.pc, e.fetchHist, e.taken, e.vote)
 			s.conf.Update(e.pc, e.fetchHist, e.misp)
 		}
 		if s.win.armed {

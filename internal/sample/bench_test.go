@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"dmp/internal/emu"
 	"dmp/internal/pipeline"
 	"dmp/internal/sample"
 )
@@ -32,4 +33,40 @@ func BenchmarkSampledRun(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(r.TotalInsts)*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
+}
+
+// BenchmarkWarmingLadder measures the three fast-forward speeds a sampled
+// run moves at, on the gzip workload: SkipPlain (no warming), Skip with no
+// predictor tail (cache, BTB, history and RAS warming) and Skip training the
+// perceptron and confidence estimator throughout (the predTail rate). Each
+// op fast-forwards the first ladderInsts instructions of a fresh machine.
+func BenchmarkWarmingLadder(b *testing.B) {
+	const ladderInsts = 1_000_000
+	prog, input := compileBench(b, "gzip")
+	cfg := pipeline.DefaultConfig()
+	cfg.MaxInsts = 0
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		skip func(*pipeline.Sim) (uint64, error)
+	}{
+		{"plain", func(s *pipeline.Sim) (uint64, error) { return s.SkipPlain(ctx, ladderInsts) }},
+		{"warm", func(s *pipeline.Sim) (uint64, error) { return s.Skip(ctx, ladderInsts, 0) }},
+		{"pred", func(s *pipeline.Sim) (uint64, error) { return s.Skip(ctx, ladderInsts, ladderInsts) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var done uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sim := pipeline.NewFromMachine(emu.New(prog, input, 0), cfg)
+				b.StartTimer()
+				n, err := c.skip(sim)
+				if err != nil || n != ladderInsts {
+					b.Fatalf("skipped %d of %d: %v", n, ladderInsts, err)
+				}
+				done += n
+			}
+			b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "insts/s")
+		})
+	}
 }
