@@ -72,9 +72,10 @@ bench-compare:
 
 # Differential check of the predecoded fast execution paths against the
 # reference interpreter: corpus trace-for-trace, block/batch equivalence,
-# and the hand-written fault matrix.
+# the hand-written fault matrix, and the warm executor (RunWarm) against
+# RunBlock and the reference trace.
 emu-diff:
-	$(GO) test -run 'TestFastMatchesReference|TestRunMatchesReference|TestRunBlockMatchesReference|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults' ./internal/emu
+	$(GO) test -run 'TestFastMatchesReference|TestRunMatchesReference|TestRunBlockMatchesReference|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults|TestRunWarmMatchesRunBlock|TestRunWarmEventsMatchReference|TestRunWarmFaultMatchesRunBlock' ./internal/emu
 
 # Generated-workload smoke: build a 50-program corpus across every preset
 # and push each program through the full quality gate (all 8 selection

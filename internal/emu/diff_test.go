@@ -369,9 +369,11 @@ func TestStepBatchFaults(t *testing.T) {
 
 // FuzzEmuDiff feeds generated DML programs (seeded by the corpus generator's
 // default mix plus the biased-branch and deep-hammock presets) through the
-// compiler and runs both engines in lockstep. Mutated sources that no longer
-// parse or check are skipped; anything that compiles must execute
-// identically on both paths.
+// compiler and checks every entry point of the predecoded executor against
+// the reference interpreter: Step in lockstep, then a RunBlock loop, RunWarm
+// with recording hooks and Run, each on a fresh machine with a budget derived
+// from tapeSeed. Mutated sources that no longer parse or check are skipped;
+// anything that compiles must execute identically on every path.
 func FuzzEmuDiff(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(bench.GenSource(seed), int64(seed))
@@ -422,5 +424,52 @@ func FuzzEmuDiff(f *testing.F) {
 			}
 		}
 		diffState(t, "fuzz", fast, ref)
+
+		// Reference run of exactly budget instructions (or to halt/fault),
+		// with its trace classified into the expected warming events. The
+		// budget stays under the lockstep cap.
+		budget := 1 + uint64(tapeSeed)*7919%200_000
+		ref = emu.New(prog, input, 0)
+		recs := ref.Predecoded().Recs
+		var want warmEvents
+		var rerr error
+		for ref.Retired < budget && !ref.Halted() {
+			rt, err := ref.StepRef()
+			if err != nil {
+				rerr = err
+				break
+			}
+			want.classify(recs, &rt)
+		}
+		check := func(path string, m *emu.Machine, n uint64, err error) {
+			t.Helper()
+			tag := fmt.Sprintf("fuzz/%s/budget=%d", path, budget)
+			if n != ref.Retired || !errsEqual(err, rerr) {
+				t.Fatalf("%s: (%d, %v), ref (%d, %v)", tag, n, err, ref.Retired, rerr)
+			}
+			diffState(t, tag, m, ref)
+		}
+
+		blk := emu.New(prog, input, 0)
+		n, err := runBlocks(blk, budget)
+		check("RunBlock", blk, n, err)
+
+		warm := emu.New(prog, input, 0)
+		var got warmEvents
+		n, err = warm.RunWarm(budget, got.hooks())
+		check("RunWarm", warm, n, err)
+		checkInts(t, "fuzz/pcs", got.pcs, want.pcs)
+		checkInts(t, "fuzz/loads", got.loads, want.loads)
+		checkInts(t, "fuzz/branches", got.branches, want.branches)
+		checkInts(t, "fuzz/calls", got.calls, want.calls)
+		checkInts(t, "fuzz/rets", got.rets, want.rets)
+		checkInts(t, "fuzz/jumps", got.jumps, want.jumps)
+
+		run := emu.New(prog, input, 0)
+		n, err = run.Run(budget)
+		if rerr == nil && !ref.Halted() {
+			rerr = fmt.Errorf("emu: instruction limit %d exceeded", budget)
+		}
+		check("Run", run, n, err)
 	})
 }

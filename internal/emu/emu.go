@@ -96,21 +96,11 @@ func (m *Machine) InputRemaining() int { return len(m.input) - m.inPos }
 // trace entry. After the machine halts, Step returns ErrHalted. It is
 // observationally identical to StepRef (enforced by the differential suite).
 func (m *Machine) Step() (Trace, error) {
-	if m.halted {
-		return Trace{}, ErrHalted
-	}
-	pc := m.PC
-	if uint(pc) >= uint(len(m.prog.Code)) {
-		return Trace{}, fmt.Errorf("emu: pc %d out of range", pc)
-	}
-	next, taken, addr, err := m.exec1(pc)
-	if err != nil {
+	var tr [1]Trace
+	if _, err := m.StepBatch(tr[:], 1); err != nil {
 		return Trace{}, err
 	}
-	tr := Trace{PC: pc, Inst: m.prog.Code[pc], NextPC: next, Taken: taken, Addr: addr}
-	m.PC = next
-	m.Retired++
-	return tr, nil
+	return tr[0], nil
 }
 
 // setRd writes v to the destination register unless it is the hardwired
@@ -263,24 +253,16 @@ func (m *Machine) StepRef() (Trace, error) {
 
 // Run executes until halt or until maxInsts instructions have retired
 // (maxInsts <= 0 means no limit). It returns the number of instructions
-// retired by this call. Execution proceeds block by block via RunBlock.
+// retired by this call. Execution runs on the block-batched executor.
 func (m *Machine) Run(maxInsts uint64) (uint64, error) {
-	var n uint64
-	for !m.halted {
-		if maxInsts > 0 && n >= maxInsts {
-			return n, fmt.Errorf("emu: instruction limit %d exceeded", maxInsts)
-		}
-		var budget uint64
-		if maxInsts > 0 {
-			budget = maxInsts - n
-		}
-		br, err := m.RunBlock(budget)
-		n += br.N
-		if err != nil {
-			return n, err
-		}
+	if m.halted {
+		return 0, nil
 	}
-	return n, nil
+	n, err := m.RunWarm(maxInsts, nil)
+	if err == nil && !m.halted {
+		err = fmt.Errorf("emu: instruction limit %d exceeded", maxInsts)
+	}
+	return n, err
 }
 
 func b2i(b bool) int64 {

@@ -113,6 +113,13 @@ func TestRunWarmMatchesRunBlock(t *testing.T) {
 				t.Fatalf("%s: warm (%d, %v) vs block (%d, %v)", tag, wn, werr, bn, berr)
 			}
 			diffState(t, tag, warm, blk)
+			// The RunWarm(lim, nil) row: the plain multi-run fast-forward
+			// behind Run, traceReader.skip and sample.advance.
+			plain := emu.New(prog, input, 0)
+			if pn, perr := plain.RunWarm(lim, nil); pn != bn || !errsEqual(perr, berr) {
+				t.Fatalf("%s: nil-hooks warm (%d, %v) vs block (%d, %v)", tag, pn, perr, bn, berr)
+			}
+			diffState(t, tag+"/nil-hooks", plain, blk)
 			if uint64(len(ev.pcs)) != wn {
 				t.Fatalf("%s: Block extents cover %d pcs, %d retired", tag, len(ev.pcs), wn)
 			}
@@ -186,13 +193,17 @@ func checkInts[T comparable](t *testing.T, tag string, got, want []T) {
 }
 
 // TestRunWarmFaultMatchesRunBlock checks the fault paths: out-of-range loads
-// and stores inside a straight-line run, and a wild indirect jump ending
-// one. Faulting instructions apply no warming events and the PC parks on
-// them, exactly like RunBlock.
+// and stores inside a straight-line run, a wild indirect jump and an
+// undecodable instruction ending one, and a run falling off the end of the
+// code segment. Faulting instructions apply no warming events and the PC
+// parks on them, exactly like RunBlock.
 func TestRunWarmFaultMatchesRunBlock(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func(b *isa.Builder)
+		// code, when set, is used as-is instead of build: the builder's
+		// validator rejects undecodable opcodes.
+		code []isa.Inst
 	}{
 		{"load", func(b *isa.Builder) {
 			b.Func("main")
@@ -200,26 +211,43 @@ func TestRunWarmFaultMatchesRunBlock(t *testing.T) {
 			b.MovI(2, 7)
 			b.Ld(3, 1, 5)
 			b.Halt()
-		}},
+		}, nil},
 		{"store", func(b *isa.Builder) {
 			b.Func("main")
 			b.MovI(1, -3)
 			b.St(1, 0, 1)
 			b.Halt()
-		}},
+		}, nil},
 		{"wild-jr", func(b *isa.Builder) {
 			b.Func("main")
 			b.MovI(1, 1_000_000)
 			b.Emit(isa.Inst{Op: isa.OpJr, Rs1: 1})
 			b.Halt()
+		}, nil},
+		// The last instruction is an in-range load with no halt after it:
+		// it executes, then faults on the fall-through, never retiring.
+		{"fall-off-load", func(b *isa.Builder) {
+			b.Func("main")
+			b.MovI(1, 5)
+			b.MovI(2, 9)
+			b.Ld(3, 1, 2)
+		}, nil},
+		{"bad-opcode", nil, []isa.Inst{
+			{Op: isa.OpMovI, Rd: 1, Imm: 3},
+			{Op: isa.OpMovI, Rd: 2, Imm: 4},
+			{Op: isa.Op(250)},
+			{Op: isa.OpHalt},
 		}},
 	}
 	for _, tc := range cases {
-		bld := isa.NewBuilder()
-		tc.build(bld)
-		prog, err := bld.Link()
-		if err != nil {
-			t.Fatalf("%s: link: %v", tc.name, err)
+		prog := &isa.Program{Code: tc.code}
+		if tc.build != nil {
+			bld := isa.NewBuilder()
+			tc.build(bld)
+			var err error
+			if prog, err = bld.Link(); err != nil {
+				t.Fatalf("%s: link: %v", tc.name, err)
+			}
 		}
 		warm := emu.New(prog, nil, 0)
 		blk := emu.New(prog, nil, 0)

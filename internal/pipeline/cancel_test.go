@@ -3,8 +3,12 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"dmp/internal/bench"
+	"dmp/internal/emu"
 )
 
 // TestRunCtxPreCancelled: an already-cancelled context aborts the run near
@@ -59,5 +63,63 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	}
 	if st1.Cycles != st2.Cycles || st1.Retired != st2.Retired {
 		t.Fatalf("RunCtx stats diverge from Run:\n%+v\n%+v", st1, st2)
+	}
+}
+
+// errCounter is a live cancellable context that counts its Err calls.
+type errCounter struct {
+	context.Context
+	calls uint64
+}
+
+func (c *errCounter) Err() error {
+	c.calls++
+	return c.Context.Err()
+}
+
+// TestSkipPollsOncePerChunk: a fast-forward polls its context once per
+// skipChunk instructions, not once per straight-line run, so a long skip
+// pays a bounded number of Err calls (each takes a mutex on a cancellable
+// context).
+func TestSkipPollsOncePerChunk(t *testing.T) {
+	b := bench.ByName("compress")
+	prog, err := b.Compile()
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	skips := []struct {
+		name string
+		skip func(s *Sim, ctx context.Context, n uint64) (uint64, error)
+	}{
+		{"plain", func(s *Sim, ctx context.Context, n uint64) (uint64, error) { return s.SkipPlain(ctx, n) }},
+		{"warm", func(s *Sim, ctx context.Context, n uint64) (uint64, error) { return s.Skip(ctx, n, n/4) }},
+	}
+	for _, scale := range []int{1, 16} {
+		input := b.Input(bench.RunInput, scale)
+		for _, n := range []uint64{1_000_000, 3*skipChunk + 5} {
+			for _, sk := range skips {
+				tag := fmt.Sprintf("%s/scale=%d/n=%d", sk.name, scale, n)
+				base, cancel := context.WithCancel(context.Background())
+				ctx := &errCounter{Context: base}
+				got, err := sk.skip(New(prog, input, DefaultConfig()), ctx, n)
+				cancel()
+				if err != nil {
+					t.Fatalf("%s: skip: %v", tag, err)
+				}
+				want, _ := emu.New(prog, input, 0).Run(n)
+				if got != want {
+					t.Fatalf("%s: skipped %d, want %d", tag, got, want)
+				}
+				// The warm skip splits n into a warming stretch and a
+				// predictor-training tail, each chunked on its own.
+				bound := (n+skipChunk-1)/skipChunk + 1
+				if sk.name == "warm" {
+					bound++
+				}
+				if ctx.calls > bound {
+					t.Fatalf("%s: %d ctx.Err calls, want at most %d", tag, ctx.calls, bound)
+				}
+			}
+		}
 	}
 }

@@ -74,13 +74,13 @@ func NewFromMachine(m *emu.Machine, cfg Config) *Sim {
 func (s *Sim) Skip(ctx context.Context, n, predTail uint64) (uint64, error) {
 	s.tr.ctx = ctx
 	if predTail >= n {
-		return s.tr.skipWarm(n, s.warmEntryPred, s.predHooks())
+		return s.tr.skip(n, s.warmEntryPred, s.predHooks())
 	}
-	done, err := s.tr.skipWarm(n-predTail, s.warmEntry, s.warmHooks())
+	done, err := s.tr.skip(n-predTail, s.warmEntry, s.warmHooks())
 	if err != nil || done < n-predTail {
 		return done, err
 	}
-	k, err := s.tr.skipWarm(predTail, s.warmEntryPred, s.predHooks())
+	k, err := s.tr.skip(predTail, s.warmEntryPred, s.predHooks())
 	return done + k, err
 }
 
@@ -91,7 +91,7 @@ func (s *Sim) Skip(ctx context.Context, n, predTail uint64) (uint64, error) {
 // per-event overhead.
 func (s *Sim) SkipPlain(ctx context.Context, n uint64) (uint64, error) {
 	s.tr.ctx = ctx
-	return s.tr.skip(n)
+	return s.tr.skip(n, nil, nil)
 }
 
 // warmHooks returns the hook set the emulator's block-batched warm executor

@@ -13,6 +13,9 @@ import (
 // per Sim, so the steady-state loop stays allocation-free.
 const traceBatchSize = 256
 
+// skipChunk is how many instructions skip runs between cancellation polls.
+const skipChunk = 1 << 22
+
 // traceReader supplies the correct execution path from the functional
 // emulator in batches, exposing the same one-entry-lookahead interface the
 // fetch stage needs (Peek to learn the resume PC after a flush before
@@ -101,17 +104,27 @@ func (t *traceReader) extendBudget(n uint64) {
 
 // skip functionally advances the machine past n correct-path instructions
 // without materialising trace entries for them: whatever is already buffered
-// is consumed first, the remainder runs on the emulator's block-batched path
-// (no per-instruction trace construction). It returns the number actually
-// skipped, which falls short of n only when the machine halts or faults.
-func (t *traceReader) skip(n uint64) (uint64, error) {
-	var skipped uint64
-	if avail := uint64(t.n - t.pos); avail > 0 {
-		take := min(avail, n)
-		t.pos += int(take)
-		t.count += take
-		skipped += take
+// is consumed first, the remainder runs on the emulator's block-batched
+// executor (emu.RunWarm) with no per-instruction trace construction. It
+// returns the number actually skipped, which falls short of n only when the
+// machine halts or faults.
+//
+// With warm and hooks non-nil this is functional warming: buffered lookahead
+// entries are handed to warm one by one before being dropped, and the
+// executor reports branch outcomes, load addresses and straight-line extents
+// through hooks. The sampling layer uses it to keep the cache, BTB and
+// history state a detailed interval inherits tracking what a full-fidelity
+// run would have built (the SMARTS warming scheme), at a cost close to the
+// plain block-batched path rather than the step-batched one.
+func (t *traceReader) skip(n uint64, warm func(*emu.Trace), hooks *emu.WarmHooks) (uint64, error) {
+	skipped := min(uint64(t.n-t.pos), n)
+	if warm != nil {
+		for i := t.pos; i < t.pos+int(skipped); i++ {
+			warm(&t.buf[i])
+		}
 	}
+	t.pos += int(skipped)
+	t.count += skipped
 	if skipped == n {
 		return skipped, nil
 	}
@@ -123,9 +136,8 @@ func (t *traceReader) skip(n uint64) (uint64, error) {
 		t.err = t.pending
 		return skipped, t.err
 	}
-	// Chunked so cancellation has a poll point every few million
-	// instructions even inside one long fast-forward.
-	const skipChunk = 1 << 22
+	// Chunked so cancellation has one poll point per skipChunk instructions
+	// even inside one long fast-forward.
 	for skipped < n && !t.m.Halted() {
 		if t.ctx != nil {
 			if err := t.ctx.Err(); err != nil {
@@ -133,63 +145,7 @@ func (t *traceReader) skip(n uint64) (uint64, error) {
 				return skipped, err
 			}
 		}
-		br, err := t.m.RunBlock(min(n-skipped, skipChunk))
-		skipped += br.N
-		t.count += br.N
-		t.fetched += br.N
-		if err != nil {
-			if errors.Is(err, emu.ErrHalted) {
-				break
-			}
-			t.err = err
-			return skipped, err
-		}
-	}
-	if t.m.Halted() {
-		t.done = true
-		t.halted = true
-	}
-	return skipped, nil
-}
-
-// skipWarm is skip with functional warming: buffered lookahead entries are
-// handed to warm one by one before being dropped, and the remainder runs on
-// the emulator's block-batched warm executor (emu.RunWarm), which reports
-// branch outcomes, load addresses and straight-line extents through hooks.
-// The sampling layer uses it to keep the cache, BTB and history state a
-// detailed interval inherits tracking what a full-fidelity run would have
-// built (the SMARTS warming scheme), at a cost close to skip's plain
-// block-batched path rather than the step-batched one.
-func (t *traceReader) skipWarm(n uint64, warm func(*emu.Trace), hooks *emu.WarmHooks) (uint64, error) {
-	var skipped uint64
-	for t.pos < t.n && skipped < n {
-		warm(&t.buf[t.pos])
-		t.pos++
-		t.count++
-		skipped++
-	}
-	if skipped == n {
-		return skipped, nil
-	}
-	if t.err != nil {
-		return skipped, t.err
-	}
-	if t.pending != nil {
-		// The buffered entries before the fault are gone; the fault is next.
-		t.err = t.pending
-		return skipped, t.err
-	}
-	// Chunked so cancellation has a poll point every few million
-	// instructions even inside one long fast-forward.
-	const warmChunk = 1 << 22
-	for skipped < n && !t.m.Halted() {
-		if t.ctx != nil {
-			if err := t.ctx.Err(); err != nil {
-				t.err = err
-				return skipped, err
-			}
-		}
-		k, err := t.m.RunWarm(min(n-skipped, warmChunk), hooks)
+		k, err := t.m.RunWarm(min(n-skipped, skipChunk), hooks)
 		skipped += k
 		t.count += k
 		t.fetched += k

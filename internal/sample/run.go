@@ -458,17 +458,15 @@ func countInsts(ctx context.Context, prog *isa.Program, input []int64, maxInsts 
 // full-fidelity run, which fails on a faulting trace feed as well.
 func advance(ctx context.Context, m *emu.Machine, n uint64) (uint64, error) {
 	const pollEvery = 1 << 22
-	var done, sincePoll uint64
+	var done uint64
 	for done < n && !m.Halted() {
-		if ctx != nil && sincePoll >= pollEvery {
-			sincePoll = 0
+		if ctx != nil && done > 0 {
 			if err := ctx.Err(); err != nil {
 				return done, fmt.Errorf("sample: cancelled: %w", err)
 			}
 		}
-		br, err := m.RunBlock(n - done)
-		done += br.N
-		sincePoll += br.N
+		k, err := m.RunWarm(min(n-done, pollEvery), nil)
+		done += k
 		if err != nil {
 			if errors.Is(err, emu.ErrHalted) {
 				break

@@ -22,7 +22,7 @@ sh scripts/lint.sh
 go build ./...
 go test -race ./...
 go test -run 'TestNilTracerEventNoAlloc|TestSteadyStateAllocs' ./internal/pipeline
-go test -run 'TestFastMatchesReference|TestRunMatchesReference|TestRunBlockMatchesReference|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults' ./internal/emu
+go test -run 'TestFastMatchesReference|TestRunMatchesReference|TestRunBlockMatchesReference|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults|TestRunWarmMatchesRunBlock|TestRunWarmEventsMatchReference|TestRunWarmFaultMatchesRunBlock' ./internal/emu
 sh scripts/bench_compare.sh
 go run ./cmd/dmplint -corpus
 go run ./cmd/dmpgen -preset all -n 50 -seed 1 -check
