@@ -10,7 +10,9 @@
 #               differential smoke (sample-error gate) + the dmpserve
 #               daemon smoke (HTTP jobs, cache-hit probe, SIGTERM drain)
 #               + the sweep-engine smoke (dmpsweep over a small grid,
-#               run twice to exercise CSV resume)
+#               run twice to exercise CSV resume) + the simulation-cache
+#               smoke (dmpsim twice per mode against a fresh
+#               DMP_CACHE_DIR: the second run must answer from disk)
 #               + 30s parser and emulator differential fuzz smokes
 #   make test   plain test run (what the quick tier-1 check uses)
 #   make lint   pinned staticcheck + golangci-lint via scripts/lint.sh
@@ -24,9 +26,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare emu-diff gen-smoke static-smoke sample-smoke serve-smoke serve-load sweep-smoke
+.PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare emu-diff gen-smoke static-smoke sample-smoke serve-smoke serve-load sweep-smoke cache-smoke
 
-ci: vet lint build race alloc-guard emu-diff lint-corpus trace-smoke bench-compare gen-smoke static-smoke sample-smoke serve-smoke sweep-smoke fuzz-smoke
+ci: vet lint build race alloc-guard emu-diff lint-corpus trace-smoke bench-compare gen-smoke static-smoke sample-smoke serve-smoke sweep-smoke cache-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -120,6 +122,13 @@ sweep-smoke:
 	$(GO) run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 	$(GO) run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 	rm -f .sweep-smoke.csv
+
+# Simulation-cache smoke: dmpsim -bench gzip run twice against a fresh
+# DMP_CACHE_DIR, at full fidelity and with -sample. The second run of each
+# must report disk_hits 1 and misses 0: cross-process reuse through the
+# disk layer, end to end. Runs in seconds.
+cache-smoke:
+	sh scripts/cache_smoke.sh
 
 # Short deterministic fuzz smoke for CI; crashes fail the gate.
 fuzz-smoke:

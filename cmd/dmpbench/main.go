@@ -190,11 +190,11 @@ func main() {
 		progs := gen.BuildCorpus(confs, n, *genSeed)
 		popOpts := harness.PopulationOptions{Parallelism: *par, MaxInsts: *maxInsts}
 		if *exp == "static" {
-			rep, err := harness.RunPopulationCompare(progs, popOpts)
+			rep, err := harness.RunPopulationCompare(context.Background(), progs, popOpts)
 			check(err)
 			rep.Render(os.Stdout)
 		} else {
-			rep, err := harness.RunPopulation(progs, popOpts)
+			rep, err := harness.RunPopulation(context.Background(), progs, popOpts)
 			check(err)
 			rep.Render(os.Stdout)
 		}

@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -125,7 +126,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dmpgen: %d programs verified clean (8 algorithms from %s + emu/pipeline differential)\n", len(progs), src)
 	}
 	if *report != "" {
-		rep, err := harness.RunPopulation(progs, harness.PopulationOptions{
+		rep, err := harness.RunPopulation(context.Background(), progs, harness.PopulationOptions{
 			Parallelism: *par, MaxInsts: *maxInsts,
 		})
 		check2(err)

@@ -35,6 +35,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -144,11 +145,11 @@ func main() {
 	var st pipeline.Stats
 	var sr sample.Result
 	if *sampled {
-		sr, err = cache.RunSampled(prog, input, cfg, sample.DefaultConf())
+		sr, err = cache.RunSampled(context.Background(), prog, input, cfg, sample.DefaultConf())
 		check(err)
 		st = sr.AsStats()
 	} else {
-		st, err = cache.Run(prog, input, cfg)
+		st, err = cache.Run(context.Background(), prog, input, cfg)
 		check(err)
 	}
 	wall := time.Since(start)

@@ -14,6 +14,7 @@ import (
 
 	"dmp/internal/gen"
 	"dmp/internal/simcache"
+	"dmp/internal/workpool"
 )
 
 // TestRunPopulationCtxCancel: cancelling a population run mid-flight returns
@@ -29,7 +30,7 @@ func TestRunPopulationCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunPopulationCtx(ctx, progs, PopulationOptions{Parallelism: 4, Cache: cache})
+		_, err := RunPopulation(ctx, progs, PopulationOptions{Parallelism: 4, Cache: cache})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -38,10 +39,10 @@ func TestRunPopulationCtxCancel(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunPopulationCtx err = %v, want context.Canceled", err)
+			t.Fatalf("RunPopulation err = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunPopulationCtx did not return after cancel")
+		t.Fatal("RunPopulation did not return after cancel")
 	}
 
 	// Helper goroutines must wind down (pool helpers exit at task
@@ -97,11 +98,11 @@ func TestRunPopulationCtxCompletesAfterCancelledRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunPopulationCtx(ctx, progs, PopulationOptions{Parallelism: 2, Cache: cache}); !errors.Is(err, context.Canceled) {
+	if _, err := RunPopulation(ctx, progs, PopulationOptions{Parallelism: 2, Cache: cache}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run err = %v, want context.Canceled", err)
 	}
 
-	rep, err := RunPopulationCtx(context.Background(), progs, PopulationOptions{Parallelism: 2, Cache: cache})
+	rep, err := RunPopulation(context.Background(), progs, PopulationOptions{Parallelism: 2, Cache: cache})
 	if err != nil {
 		t.Fatalf("clean run after cancelled run: %v", err)
 	}
@@ -115,13 +116,13 @@ func TestRunPopulationCtxCompletesAfterCancelledRun(t *testing.T) {
 	}
 }
 
-// TestForEachBoundedAggregatesAllErrors pins forEachBounded's documented
+// TestForEachBoundedAggregatesAllErrors pins the pool's documented
 // contract: every failing workload's error reaches the caller, not just the
 // first (the pre-fix behaviour).
 func TestForEachBoundedAggregatesAllErrors(t *testing.T) {
 	e1, e2 := errors.New("w1 failed"), errors.New("w3 failed")
-	err := forEachBounded(context.Background(), 4, 2,
-		func(i int) string { return "workload" },
+	err := workpool.RunIndexed(context.Background(), 4, 2,
+		func(i int) string { return "workload" }, nil,
 		func(i int) error {
 			switch i {
 			case 1:
@@ -132,6 +133,25 @@ func TestForEachBoundedAggregatesAllErrors(t *testing.T) {
 			return nil
 		})
 	if !errors.Is(err, e1) || !errors.Is(err, e2) {
-		t.Fatalf("forEachBounded dropped an error: got %v, want both %v and %v", err, e1, e2)
+		t.Fatalf("RunIndexed dropped an error: got %v, want both %v and %v", err, e1, e2)
+	}
+}
+
+// TestRunOneCompareCancelled: cancellation reaches inside one program of a
+// compare run — its profiles and simulations run under the caller's
+// context, so an already-cancelled step returns the context error without
+// executing (and memoizing) any simulation.
+func TestRunOneCompareCancelled(t *testing.T) {
+	cache := simcache.New("")
+	progs := gen.BuildCorpus(gen.Presets(), 1, 29)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := runOneCompare(ctx, progs[0], PopulationOptions{Cache: cache}.withDefaults())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("runOneCompare(cancelled) err = %v, want context.Canceled", err)
+	}
+	if m := cache.Metrics(); m.Misses != 0 {
+		t.Errorf("cancelled compare step executed %d simulations, want 0", m.Misses)
 	}
 }

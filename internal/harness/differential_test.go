@@ -10,6 +10,7 @@ package harness
 // whose architectural output diverges from the reference.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -66,7 +67,7 @@ func firstDivergence(prog *isa.Program, input []int64, gotOut []int64) string {
 func checkAgainstReference(t *testing.T, label string, prog *isa.Program, input []int64, ref *emu.Machine) {
 	t.Helper()
 	sim := pipeline.New(prog, input, diffConfig(len(prog.Annots) > 0))
-	st, err := sim.Run()
+	st, err := sim.Run(context.Background())
 	if err != nil {
 		t.Errorf("%s: pipeline: %v", label, err)
 		return

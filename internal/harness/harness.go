@@ -6,6 +6,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"dmp/internal/simcache"
 	"dmp/internal/trace"
 	"dmp/internal/verify"
+	"dmp/internal/workpool"
 )
 
 // Options configures a harness session.
@@ -40,10 +42,10 @@ type Options struct {
 	// memoization for the session's runs (see simcache.Cache.Run), so it
 	// is meant for debugging sweeps, not full evaluations.
 	Tracer trace.Tracer
-	// Ctx, when non-nil, cancels the session's pooled runs: workers stop at
-	// the next task boundary and in-flight simulations abort at block-batch
-	// granularity (see pipeline.RunCtx). Per-call contexts on BaselineCtx /
-	// RunDMPCtx compose with it through the simulation cache.
+	// Ctx, when non-nil, cancels the session's runs: pooled workers stop at
+	// the next task boundary, and every simulation (Baseline, RunDMP) aborts
+	// at block-batch granularity (see pipeline.Sim.Run) without being
+	// memoized.
 	Ctx context.Context
 	// Sample, when Enabled, routes every simulation through the SMARTS
 	// sampled executor (internal/sample) instead of full fidelity: each
@@ -189,7 +191,7 @@ func (s *Session) Names() []string {
 	return out
 }
 
-// forEachIdx runs fn(0..n-1) on the shared worker pool (workpool.go) with
+// forEachIdx runs fn(0..n-1) on the shared worker pool (internal/workpool) with
 // the session's parallelism bound and context. All worker errors — including
 // panics recovered into *PanicError — are aggregated (errors.Join) in index
 // order, not just the first to arrive, so a multi-benchmark failure reports
@@ -205,7 +207,7 @@ func (s *Session) forEachIdx(n int, fn func(int) error) error {
 		}
 		return ""
 	}
-	return runIndexed(s.Opts.Ctx, n, s.Opts.Parallelism, name, s.pool.busy, fn)
+	return workpool.RunIndexed(s.Opts.Ctx, n, s.Opts.Parallelism, name, s.pool.busy, fn)
 }
 
 // simConfig returns the Table 1 machine for this session.
@@ -217,32 +219,19 @@ func (w *Workload) simConfig(dmp bool) pipeline.Config {
 	return cfg
 }
 
-// Baseline simulates the un-annotated binary on the run input. The result is
-// pinned per-workload and additionally memoized by the session's
-// content-addressed simulation cache, so cross-experiment and cross-process
-// reuse both apply.
-func (w *Workload) Baseline() (pipeline.Stats, error) {
-	return w.BaselineCtx(w.ctx())
-}
-
-// ctx returns the workload's ambient context (the session's, or Background).
-func (w *Workload) ctx() context.Context {
-	if w.opts.Ctx != nil {
-		return w.opts.Ctx
-	}
-	return context.Background()
-}
-
-// BaselineCtx is Baseline under a cancellation context. A cancelled run is
+// Baseline simulates the un-annotated binary on the run input under the
+// session context. The result is pinned per-workload and additionally
+// memoized by the session's content-addressed simulation cache, so
+// cross-experiment and cross-process reuse both apply. A cancelled run is
 // returned but not pinned, so a later caller with a live context computes
 // the baseline normally.
-func (w *Workload) BaselineCtx(ctx context.Context) (pipeline.Stats, error) {
+func (w *Workload) Baseline() (pipeline.Stats, error) {
 	w.baseMu.Lock()
 	defer w.baseMu.Unlock()
 	if w.baseDone {
 		return w.base, w.baseErr
 	}
-	st, err := w.runSim(ctx, w.Prog.WithAnnots(nil), w.simConfig(false))
+	st, err := w.runSim(w.Prog.WithAnnots(nil), w.simConfig(false))
 	if err != nil {
 		err = fmt.Errorf("%s: baseline: %w", w.Bench.Name, err)
 		if isCtxErr(err) {
@@ -255,18 +244,12 @@ func (w *Workload) BaselineCtx(ctx context.Context) (pipeline.Stats, error) {
 	return w.base, w.baseErr
 }
 
-// RunDMP simulates the binary with the given annotations on the run input,
-// memoized by the simulation cache: selection configurations that produce
-// identical annotation sidecars (as many of the Figure 5-9 sweeps do) hit
-// the cache instead of re-simulating.
+// RunDMP simulates the binary with the given annotations on the run input
+// under the session context, memoized by the simulation cache: selection
+// configurations that produce identical annotation sidecars (as many of the
+// Figure 5-9 sweeps do) hit the cache instead of re-simulating. A
+// cancelled run aborts at block-batch granularity and is never memoized.
 func (w *Workload) RunDMP(annots map[int]*isa.DivergeInfo) (pipeline.Stats, error) {
-	return w.RunDMPCtx(w.ctx(), annots)
-}
-
-// RunDMPCtx is RunDMP under a cancellation context: the simulation aborts at
-// block-batch granularity when ctx ends, and the aborted run is never
-// memoized.
-func (w *Workload) RunDMPCtx(ctx context.Context, annots map[int]*isa.DivergeInfo) (pipeline.Stats, error) {
 	annotated := w.Prog.WithAnnots(annots)
 	// Fail fast on an illegal annotation set before burning simulator (or
 	// cache) time on it: a diagnostic here means a selection or experiment
@@ -274,7 +257,7 @@ func (w *Workload) RunDMPCtx(ctx context.Context, annots map[int]*isa.DivergeInf
 	if err := verify.CheckAnnots(annotated, w.Bench.Name); err != nil {
 		return pipeline.Stats{}, fmt.Errorf("%s: dmp: %w", w.Bench.Name, err)
 	}
-	st, err := w.runSim(ctx, annotated, w.simConfig(true))
+	st, err := w.runSim(annotated, w.simConfig(true))
 	if err != nil {
 		return st, fmt.Errorf("%s: dmp: %w", w.Bench.Name, err)
 	}
@@ -282,6 +265,25 @@ func (w *Workload) RunDMPCtx(ctx context.Context, annots map[int]*isa.DivergeInf
 		w.sess.noteRun(w.Bench.Name, st, true)
 	}
 	return st, nil
+}
+
+// runSim executes one of the workload's simulations under the session
+// context through the session cache (see simulate).
+func (w *Workload) runSim(prog *isa.Program, cfg pipeline.Config) (pipeline.Stats, error) {
+	return simulate(w.ctx(), w.opts.Cache, w.opts.Sample, w.sess, prog, w.RunInput, cfg)
+}
+
+// isCtxErr reports whether err stems from a cancelled or expired context.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// ctx returns the workload's ambient context (the session's, or Background).
+func (w *Workload) ctx() context.Context {
+	if w.opts.Ctx != nil {
+		return w.opts.Ctx
+	}
+	return context.Background()
 }
 
 // Improvement returns the DMP speedup over baseline in percent.

@@ -115,5 +115,5 @@ func (p *Prepared) Simulate(ctx context.Context, cfg pipeline.Config, opts EvalO
 	if opts.Tracer != nil {
 		cfg.Tracer = opts.Tracer
 	}
-	return opts.runEval(ctx, prog, p.RunInput, cfg)
+	return simulate(ctx, opts.Cache, opts.Sample, nil, prog, p.RunInput, cfg)
 }

@@ -28,6 +28,7 @@ import (
 	"dmp/internal/static"
 	"dmp/internal/trace"
 	"dmp/internal/verify"
+	"dmp/internal/workpool"
 )
 
 // winThresholdPct separates wins/losses from noise: IPC deltas within this
@@ -110,21 +111,17 @@ func popConfig(dmp bool, maxInsts uint64) pipeline.Config {
 
 // RunPopulation evaluates a generated corpus: All-best-heur selection from
 // the train-tape profile, baseline and DMP simulation on the run tape, one
-// ProgramResult per program and one IdiomGroup per dominant idiom.
-func RunPopulation(progs []*gen.Program, opts PopulationOptions) (*PopulationReport, error) {
-	return RunPopulationCtx(context.Background(), progs, opts)
-}
-
-// RunPopulationCtx is RunPopulation under a cancellation context: workers
-// stop at the next program boundary and in-flight simulations abort at
-// block-batch granularity, so a cancelled population run returns promptly
-// without leaking goroutines or memoizing partial results.
-func RunPopulationCtx(ctx context.Context, progs []*gen.Program, opts PopulationOptions) (*PopulationReport, error) {
+// ProgramResult per program and one IdiomGroup per dominant idiom. When ctx
+// ends, workers stop at the next program boundary and in-flight
+// simulations abort at block-batch granularity, so a cancelled population
+// run returns promptly without leaking goroutines or memoizing partial
+// results.
+func RunPopulation(ctx context.Context, progs []*gen.Program, opts PopulationOptions) (*PopulationReport, error) {
 	opts = opts.withDefaults()
 	rep := &PopulationReport{Count: len(progs), Algo: "All-best-heur"}
 	rep.Results = make([]ProgramResult, len(progs))
 	name := func(i int) string { return progs[i].Name }
-	err := forEachBounded(ctx, len(progs), opts.Parallelism, name, func(i int) error {
+	err := workpool.RunIndexed(ctx, len(progs), opts.Parallelism, name, nil, func(i int) error {
 		r, err := EvalGenerated(ctx, progs[i], "heur", EvalOptions{Cache: opts.Cache, MaxInsts: opts.MaxInsts})
 		if err != nil {
 			return fmt.Errorf("%s: %w", progs[i].Name, err)
@@ -147,7 +144,7 @@ type EvalOptions struct {
 	// MaxInsts caps simulated instructions per run (0 = to completion).
 	MaxInsts uint64
 	// Tracer, when non-nil, receives the DMP and baseline runs' pipeline
-	// events; traced runs bypass memoization (see simcache.Cache.RunCtx).
+	// events; traced runs bypass memoization (see simcache.Cache.Run).
 	Tracer trace.Tracer
 	// Progress, when non-nil, is called at each phase transition with one
 	// of "compile", "profile", "select", "baseline", "dmp".
@@ -157,18 +154,6 @@ type EvalOptions struct {
 	// projected through sample.Result.AsStats. Sampled runs are memoized
 	// under conf-extended keys, disjoint from full-fidelity entries.
 	Sample sample.SampleConf
-}
-
-// runEval executes one evaluation simulation honouring the sampling option.
-func (o EvalOptions) runEval(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
-	if !o.Sample.Enabled {
-		return o.Cache.RunCtx(ctx, prog, input, cfg)
-	}
-	r, err := o.Cache.RunSampledCtx(ctx, prog, input, cfg, o.Sample)
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
-	return r.AsStats(), nil
 }
 
 func (o EvalOptions) note(phase string) {
@@ -316,15 +301,6 @@ func (rep *PopulationReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "%-16s%6d%6d%6d%6d%+9.2f\n", "total", rep.Count, wins, losses, flat, mean)
 }
 
-// forEachBounded runs fn(0..n-1) across at most par workers (0 = GOMAXPROCS)
-// on the shared pool, aggregating every worker error — including recovered
-// panics — with errors.Join in index order: the same contract as the
-// session's forEachIdx, without needing a Session. name, when non-nil,
-// labels panic errors with the program at that index.
-func forEachBounded(ctx context.Context, n, par int, name func(int) string, fn func(int) error) error {
-	return runIndexed(ctx, n, par, name, nil, fn)
-}
-
 // popEmuBudget backstops the reference interpreter on generated programs
 // (which terminate by construction, with statically bounded cost).
 const popEmuBudget = 200_000_000
@@ -464,7 +440,7 @@ func checkGenerated(p *gen.Program, useStatic bool) []string {
 // against a finished reference emulator run.
 func diffPipeline(label string, prog *isa.Program, input []int64, ref *emu.Machine) []string {
 	sim := pipeline.New(prog, input, popConfig(len(prog.Annots) > 0, 0))
-	st, err := sim.Run()
+	st, err := sim.Run(context.Background())
 	if err != nil {
 		return []string{fmt.Sprintf("%s: pipeline: %v", label, err)}
 	}

@@ -16,6 +16,7 @@ import (
 
 	"dmp/internal/gen"
 	"dmp/internal/simcache"
+	"dmp/internal/workpool"
 )
 
 func populationCorpusSize() int {
@@ -37,7 +38,7 @@ func TestGeneratedPopulationDifferential(t *testing.T) {
 	progs := gen.BuildCorpus(presets, populationCorpusSize(), 1)
 	var mu sync.Mutex
 	failures := 0
-	err := forEachBounded(context.Background(), len(progs), 0, func(i int) string { return progs[i].Name }, func(i int) error {
+	err := workpool.RunIndexed(context.Background(), len(progs), 0, func(i int) string { return progs[i].Name }, nil, func(i int) error {
 		if issues := CheckGenerated(progs[i]); len(issues) > 0 {
 			mu.Lock()
 			failures++
@@ -62,7 +63,7 @@ func TestRunPopulationReport(t *testing.T) {
 		n = 8
 	}
 	progs := gen.BuildCorpus(gen.Presets(), n, 5)
-	rep, err := RunPopulation(progs, PopulationOptions{Cache: simcache.New("")})
+	rep, err := RunPopulation(context.Background(), progs, PopulationOptions{Cache: simcache.New("")})
 	if err != nil {
 		t.Fatal(err)
 	}

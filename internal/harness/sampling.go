@@ -17,23 +17,25 @@ import (
 	"dmp/internal/isa"
 	"dmp/internal/pipeline"
 	"dmp/internal/sample"
+	"dmp/internal/simcache"
 	"dmp/internal/stats"
+	"dmp/internal/workpool"
 )
 
-// runSim executes one simulation for the workload: full fidelity through the
-// session cache, or — when the session opted into sampling — the SMARTS
-// executor, with the estimate projected into Stats and its error bar folded
-// into the session's sampling aggregates.
-func (w *Workload) runSim(ctx context.Context, prog *isa.Program, cfg pipeline.Config) (pipeline.Stats, error) {
-	if !w.opts.Sample.Enabled {
-		return w.opts.Cache.RunCtx(ctx, prog, w.RunInput, cfg)
+// simulate executes one simulation through cache: full fidelity, or — when
+// sc is enabled — the SMARTS executor, with the estimate projected into
+// Stats and its error bar folded into sess's sampling aggregates (sess may
+// be nil).
+func simulate(ctx context.Context, cache *simcache.Cache, sc sample.SampleConf, sess *Session, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
+	if !sc.Enabled {
+		return cache.Run(ctx, prog, input, cfg)
 	}
-	r, err := w.opts.Cache.RunSampledCtx(ctx, prog, w.RunInput, cfg, w.opts.Sample)
+	r, err := cache.RunSampled(ctx, prog, input, cfg, sc)
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	if w.sess != nil {
-		w.sess.noteSampled(r)
+	if sess != nil {
+		sess.noteSampled(r)
 	}
 	return r.AsStats(), nil
 }
@@ -286,7 +288,7 @@ func SampleErrorPopulation(ctx context.Context, progs []*gen.Program, sc sample.
 	rows := make([]SampleErrorRow, len(progs))
 	walls := make([][2]time.Duration, len(progs))
 	name := func(i int) string { return progs[i].Name }
-	err := forEachBounded(ctx, len(progs), par, name, func(i int) error {
+	err := workpool.RunIndexed(ctx, len(progs), par, name, nil, func(i int) error {
 		p := progs[i]
 		prog, err := codegen.CompileSource(p.Source)
 		if err != nil {

@@ -24,6 +24,7 @@ import (
 	"dmp/internal/static"
 	"dmp/internal/trace"
 	"dmp/internal/verify"
+	"dmp/internal/workpool"
 )
 
 // Profile sources of the comparison, in report order.
@@ -91,19 +92,15 @@ type CompareReport struct {
 // RunPopulationCompare evaluates a generated corpus three ways. The baseline
 // simulation is shared; the three DMP simulations are deduplicated by the
 // simulation cache whenever two sources select identical annotations.
-func RunPopulationCompare(progs []*gen.Program, opts PopulationOptions) (*CompareReport, error) {
-	return RunPopulationCompareCtx(context.Background(), progs, opts)
-}
-
-// RunPopulationCompareCtx is RunPopulationCompare under a cancellation
-// context (same semantics as RunPopulationCtx).
-func RunPopulationCompareCtx(ctx context.Context, progs []*gen.Program, opts PopulationOptions) (*CompareReport, error) {
+// Cancellation behaves as in RunPopulation, inside each program too: its
+// profiles and simulations abort when ctx ends.
+func RunPopulationCompare(ctx context.Context, progs []*gen.Program, opts PopulationOptions) (*CompareReport, error) {
 	opts = opts.withDefaults()
 	rep := &CompareReport{Count: len(progs), Algo: "All-best-heur"}
 	rep.Results = make([]CompareResult, len(progs))
 	name := func(i int) string { return progs[i].Name }
-	err := forEachBounded(ctx, len(progs), opts.Parallelism, name, func(i int) error {
-		r, err := runOneCompare(progs[i], opts)
+	err := workpool.RunIndexed(ctx, len(progs), opts.Parallelism, name, nil, func(i int) error {
+		r, err := runOneCompare(ctx, progs[i], opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", progs[i].Name, err)
 		}
@@ -117,7 +114,7 @@ func RunPopulationCompareCtx(ctx context.Context, progs []*gen.Program, opts Pop
 	return rep, nil
 }
 
-func runOneCompare(p *gen.Program, opts PopulationOptions) (CompareResult, error) {
+func runOneCompare(ctx context.Context, p *gen.Program, opts PopulationOptions) (CompareResult, error) {
 	var r CompareResult
 	prog, err := codegen.CompileSource(p.Source)
 	if err != nil {
@@ -127,17 +124,17 @@ func runOneCompare(p *gen.Program, opts PopulationOptions) (CompareResult, error
 	if err != nil {
 		return r, err
 	}
-	train, err := profile.Collect(prog, p.TrainInput, profile.Options{MaxInsts: popEmuBudget})
+	train, err := profile.CollectCtx(ctx, prog, p.TrainInput, profile.Options{MaxInsts: popEmuBudget})
 	if err != nil {
 		return r, fmt.Errorf("train profile: %w", err)
 	}
-	oracle, err := profile.Collect(prog, p.RunInput, profile.Options{MaxInsts: popEmuBudget})
+	oracle, err := profile.CollectCtx(ctx, prog, p.RunInput, profile.Options{MaxInsts: popEmuBudget})
 	if err != nil {
 		return r, fmt.Errorf("oracle profile: %w", err)
 	}
 	profs := [numSources]*profile.Profile{est.Prof, train, oracle}
 
-	base, err := opts.Cache.Run(prog.WithAnnots(nil), p.RunInput, popConfig(false, opts.MaxInsts))
+	base, err := opts.Cache.Run(ctx, prog.WithAnnots(nil), p.RunInput, popConfig(false, opts.MaxInsts))
 	if err != nil {
 		return r, fmt.Errorf("baseline: %w", err)
 	}
@@ -157,7 +154,7 @@ func runOneCompare(p *gen.Program, opts PopulationOptions) (CompareResult, error
 		if err := verify.CheckAnnots(annotated, p.Name+"/"+SourceNames[src]); err != nil {
 			return r, err
 		}
-		dmp, err := opts.Cache.Run(annotated, p.RunInput, popConfig(true, opts.MaxInsts))
+		dmp, err := opts.Cache.Run(ctx, annotated, p.RunInput, popConfig(true, opts.MaxInsts))
 		if err != nil {
 			return r, fmt.Errorf("%s dmp: %w", SourceNames[src], err)
 		}

@@ -3,19 +3,10 @@ package harness
 // The shared worker pool lives in internal/workpool so that packages the
 // harness itself builds on (internal/sample's interval shards) can lease
 // helpers from the same process-wide token budget without importing the
-// harness back. The aliases below keep the harness API stable: the serve
-// daemon and the CLIs configure concurrency through harness.SetHelperBudget.
+// harness back. The serve daemon and the CLIs configure concurrency through
+// the two functions below.
 
-import (
-	"context"
-	"errors"
-
-	"dmp/internal/workpool"
-)
-
-// PanicError is a worker panic recovered into an error: the process-fatal
-// crash becomes one failed task attributed to its workload.
-type PanicError = workpool.PanicError
+import "dmp/internal/workpool"
 
 // SetHelperBudget bounds the helper goroutines all pools in the process may
 // run concurrently; see workpool.SetHelperBudget.
@@ -23,14 +14,3 @@ func SetHelperBudget(n int) { workpool.SetHelperBudget(n) }
 
 // HelperBudget returns the current budget capacity.
 func HelperBudget() int { return workpool.HelperBudget() }
-
-// runIndexed runs fn(0..n-1) on the calling goroutine plus leased helpers;
-// see workpool.RunIndexed.
-func runIndexed(ctx context.Context, n, par int, name func(int) string, busy func() func(), fn func(int) error) error {
-	return workpool.RunIndexed(ctx, n, par, name, busy, fn)
-}
-
-// isCtxErr reports whether err stems from a cancelled or expired context.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}

@@ -110,7 +110,7 @@ func New(prog *isa.Program, input []int64, cfg Config) *Sim {
 
 // Run simulates to completion and returns the statistics.
 func Run(prog *isa.Program, input []int64, cfg Config) (Stats, error) {
-	return New(prog, input, cfg).Run()
+	return New(prog, input, cfg).Run(context.Background())
 }
 
 // RunCtx is Run with cancellation: the simulation polls ctx at block-batch
@@ -118,7 +118,7 @@ func Run(prog *isa.Program, input []int64, cfg Config) (Stats, error) {
 // context.Canceled / context.DeadlineExceeded) as soon as the context ends.
 // A cancelled run's statistics are partial and must not be memoized.
 func RunCtx(ctx context.Context, prog *isa.Program, input []int64, cfg Config) (Stats, error) {
-	return New(prog, input, cfg).RunCtx(ctx)
+	return New(prog, input, cfg).Run(ctx)
 }
 
 // cancelCheckMask throttles context polling during drain phases (no trace
@@ -126,15 +126,14 @@ func RunCtx(ctx context.Context, prog *isa.Program, input []int64, cfg Config) (
 // those cycles represent, yet bounds cancellation latency to microseconds.
 const cancelCheckMask = 1<<12 - 1
 
-// RunCtx executes the simulation loop under a cancellation context.
-func (s *Sim) RunCtx(ctx context.Context) (Stats, error) {
-	s.ctx = ctx
-	s.tr.ctx = ctx
-	return s.Run()
-}
-
-// Run executes the simulation loop.
-func (s *Sim) Run() (Stats, error) {
+// Run executes the simulation loop under a cancellation context. A context
+// that can never be cancelled (Done() == nil, e.g. context.Background) is
+// not polled at all.
+func (s *Sim) Run(ctx context.Context) (Stats, error) {
+	if ctx.Done() != nil {
+		s.ctx = ctx
+		s.tr.ctx = ctx
+	}
 	if err := s.cfg.Validate(); err != nil {
 		return s.stats, err
 	}

@@ -41,7 +41,7 @@ type traceReader struct {
 	fetched  uint64
 	maxInsts uint64
 	// ctx, when non-nil, cancels the run at batch-refill boundaries; the
-	// resulting err wraps the context error (set via Sim.RunCtx).
+	// resulting err wraps the context error (set via Sim.Run).
 	ctx context.Context
 }
 

@@ -21,8 +21,8 @@ func TestRunCtxCancelledNotMemoized(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.RunCtx(ctx, p, in, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx(cancelled) err = %v, want context.Canceled", err)
+	if _, err := c.Run(ctx, p, in, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run(cancelled) err = %v, want context.Canceled", err)
 	}
 	m := c.Metrics()
 	if m.Cancels != 1 {
@@ -32,7 +32,7 @@ func TestRunCtxCancelledNotMemoized(t *testing.T) {
 		t.Fatalf("Misses = %d after cancelled run, want 0 (must not memoize)", m.Misses)
 	}
 
-	st, err := c.RunCtx(context.Background(), p, in, cfg)
+	st, err := c.Run(context.Background(), p, in, cfg)
 	if err != nil {
 		t.Fatalf("retry after cancel: %v", err)
 	}
@@ -49,55 +49,55 @@ func TestRunCtxCancelledNotMemoized(t *testing.T) {
 // cancelled, deduplicated waiters with live contexts retry the simulation
 // themselves instead of inheriting the runner's cancellation error.
 func TestRunCtxWaiterSurvivesRunnerCancel(t *testing.T) {
-	c := New("")
-	p := testProg(t)
-	in := testInput(200_000)
-	cfg := pipeline.DefaultConfig()
+	for _, ns := range namespaces {
+		t.Run(ns.name, func(t *testing.T) {
+			c := New("")
+			p := testProg(t)
+			in := testInput(ns.slowN)
 
-	runnerCtx, cancelRunner := context.WithCancel(context.Background())
-	runnerDone := make(chan error, 1)
-	go func() {
-		_, err := c.RunCtx(runnerCtx, p, in, cfg)
-		runnerDone <- err
-	}()
+			runnerCtx, cancelRunner := context.WithCancel(context.Background())
+			runnerDone := make(chan error, 1)
+			go func() {
+				_, err := ns.run(c, runnerCtx, p, in)
+				runnerDone <- err
+			}()
 
-	// Wait until the runner's entry is in flight so the waiter dedups onto it.
-	for i := 0; ; i++ {
-		c.mu.Lock()
-		n := len(c.mem)
-		c.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("runner never registered its in-flight entry")
-		}
-		time.Sleep(time.Millisecond)
-	}
+			// Wait until the runner's entry is in flight so the waiter dedups onto it.
+			for i := 0; ; i++ {
+				if ns.inflight(c) == 1 {
+					break
+				}
+				if i > 1000 {
+					t.Fatal("runner never registered its in-flight entry")
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	var wg sync.WaitGroup
-	waiterErrs := make([]error, 3)
-	for i := range waiterErrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, waiterErrs[i] = c.RunCtx(context.Background(), p, in, cfg)
-		}(i)
-	}
-	time.Sleep(2 * time.Millisecond)
-	cancelRunner()
+			var wg sync.WaitGroup
+			waiterErrs := make([]error, 3)
+			for i := range waiterErrs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					_, waiterErrs[i] = ns.run(c, context.Background(), p, in)
+				}(i)
+			}
+			time.Sleep(2 * time.Millisecond)
+			cancelRunner()
 
-	if err := <-runnerDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("runner err = %v, want context.Canceled", err)
-	}
-	wg.Wait()
-	for i, err := range waiterErrs {
-		if err != nil {
-			t.Errorf("waiter %d err = %v, want success after retry", i, err)
-		}
-	}
-	if m := c.Metrics(); m.Cancels == 0 {
-		t.Errorf("Cancels = 0, want >= 1")
+			if err := <-runnerDone; !errors.Is(err, context.Canceled) {
+				t.Fatalf("runner err = %v, want context.Canceled", err)
+			}
+			wg.Wait()
+			for i, err := range waiterErrs {
+				if err != nil {
+					t.Errorf("waiter %d err = %v, want success after retry", i, err)
+				}
+			}
+			if m := c.Metrics(); m.Cancels == 0 {
+				t.Errorf("Cancels = 0, want >= 1")
+			}
+		})
 	}
 }
 
@@ -112,15 +112,12 @@ func TestRunCtxWaiterCancelled(t *testing.T) {
 	runnerDone := make(chan struct{})
 	go func() {
 		defer close(runnerDone)
-		if _, err := c.RunCtx(context.Background(), p, in, cfg); err != nil {
+		if _, err := c.Run(context.Background(), p, in, cfg); err != nil {
 			t.Errorf("runner: %v", err)
 		}
 	}()
 	for i := 0; ; i++ {
-		c.mu.Lock()
-		n := len(c.mem)
-		c.mu.Unlock()
-		if n == 1 {
+		if inflight(c.full) == 1 {
 			break
 		}
 		if i > 1000 {
@@ -132,7 +129,7 @@ func TestRunCtxWaiterCancelled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.RunCtx(ctx, p, in, cfg)
+	_, err := c.Run(ctx, p, in, cfg)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("waiter err = %v, want deadline exceeded", err)
 	}

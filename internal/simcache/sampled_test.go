@@ -21,11 +21,11 @@ func TestRunSampledMemoizes(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	sc := sample.DefaultConf()
 
-	r1, err := c.RunSampled(p, in, cfg, sc)
+	r1, err := c.RunSampled(context.Background(), p, in, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.RunSampled(p, in, cfg, sc)
+	r2, err := c.RunSampled(context.Background(), p, in, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func TestRunSampledKeySeparation(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	sc := sample.DefaultConf()
 
-	if _, err := c.Run(p, in, cfg); err != nil {
+	if _, err := c.Run(context.Background(), p, in, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunSampled(p, in, cfg, sc); err != nil {
+	if _, err := c.RunSampled(context.Background(), p, in, cfg, sc); err != nil {
 		t.Fatal(err)
 	}
 	m := c.Metrics()
@@ -90,7 +90,7 @@ func TestRunSampledDisk(t *testing.T) {
 	sc := sample.DefaultConf()
 
 	c1 := New(dir)
-	r1, err := c1.RunSampled(p, in, cfg, sc)
+	r1, err := c1.RunSampled(context.Background(), p, in, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRunSampledDisk(t *testing.T) {
 	}
 
 	c2 := New(dir)
-	r2, err := c2.RunSampled(p, in, cfg, sc)
+	r2, err := c2.RunSampled(context.Background(), p, in, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,15 +124,15 @@ func TestRunSampledCancelledNotMemoized(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.RunSampledCtx(ctx, p, in, cfg, sc); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunSampledCtx(cancelled) err = %v, want context.Canceled", err)
+	if _, err := c.RunSampled(ctx, p, in, cfg, sc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunSampled(cancelled) err = %v, want context.Canceled", err)
 	}
 	m := c.Metrics()
 	if m.Cancels != 1 || m.Misses != 0 || m.Sampled != 0 {
 		t.Fatalf("after cancel: %+v, want 1 cancel and nothing memoized", m)
 	}
 
-	r, err := c.RunSampled(p, in, cfg, sc)
+	r, err := c.RunSampled(context.Background(), p, in, cfg, sc)
 	if err != nil {
 		t.Fatalf("retry after cancel: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestRunSampledNilCache(t *testing.T) {
 	var c *Cache
 	p := testProg(t)
 	in := testInput(120_000)
-	r, err := c.RunSampled(p, in, pipeline.DefaultConfig(), sample.DefaultConf())
+	r, err := c.RunSampled(context.Background(), p, in, pipeline.DefaultConfig(), sample.DefaultConf())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,7 +34,7 @@ func TestDiskLayoutIsSchemaVersioned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := warm.Run(p, in, cfg)
+	a, err := warm.Run(context.Background(), p, in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestDiskLayoutIsSchemaVersioned(t *testing.T) {
 
 	// A cold cache over the same directory serves the versioned entry.
 	cold := New(dir)
-	b, err := cold.Run(p, in, cfg)
+	b, err := cold.Run(context.Background(), p, in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestDiskLayoutIsSchemaVersioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := New(dir)
-	if _, err := stale.Run(p, in, cfg); err != nil {
+	if _, err := stale.Run(context.Background(), p, in, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if m := stale.Metrics(); m.DiskHits != 1 {
@@ -95,7 +96,7 @@ func TestTracerBypassesMemoization(t *testing.T) {
 	for i, col := range cols {
 		tcfg := cfg
 		tcfg.Tracer = col
-		st, err := c.Run(p, in, tcfg)
+		st, err := c.Run(context.Background(), p, in, tcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestTracerBypassesMemoization(t *testing.T) {
 
 	// The same simulation untraced is a fresh miss (nothing was cached), and
 	// it must agree with the traced results.
-	st, err := c.Run(p, in, cfg)
+	st, err := c.Run(context.Background(), p, in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,15 @@
 // serialization (code + diverge annotations), the input tape and the machine
 // configuration.
 //
-// The in-memory layer guarantees each distinct simulation executes exactly
-// once per process: concurrent requests for the same key are deduplicated
-// singleflight-style, with later arrivals blocking on the first runner. An
-// optional on-disk layer (enabled by the DMP_CACHE_DIR environment variable)
-// persists results across dmpbench/dmpsim invocations.
+// One generic memo (memo.go) implements the memoization; a Cache holds two
+// instances of it, one for full-fidelity pipeline.Stats (Run) and one for
+// sampled sample.Result estimates (RunSampled), with disjoint keys and disk
+// directories so neither ever answers for the other. Each instance
+// guarantees a distinct simulation executes exactly once per process:
+// concurrent requests for the same key are deduplicated singleflight-style,
+// with later arrivals blocking on the first runner. An optional on-disk
+// layer (enabled by the DMP_CACHE_DIR environment variable) persists results
+// across dmpbench/dmpsim invocations.
 //
 // The cache also keeps run metrics — hits, misses, simulated cycles and
 // aggregate simulation wall time — surfaced by the CLIs via -metrics-json
@@ -22,14 +26,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"os"
-	"path/filepath"
-	"sync"
-	"time"
 
 	"dmp/internal/isa"
 	"dmp/internal/pipeline"
+	"dmp/internal/sample"
 )
 
 // EnvDir names the environment variable that enables the on-disk layer.
@@ -41,8 +42,14 @@ const EnvDir = "DMP_CACHE_DIR"
 // extending Stats automatically invalidates old entries — without it, stale
 // DMP_CACHE_DIR entries written by an older binary would unmarshal with the
 // new fields silently zero-valued. The same fingerprint versions the on-disk
-// layout (see diskPath).
+// layout (see New).
 var keySchema = "dmp-simcache-v2\x00" + pipeline.StatsSchema() + "\x00"
+
+// sampledKeySchema versions the sampled-entry key derivation. It folds in
+// sample.Schema() — the fingerprint of the Result wire shape — so extending
+// Result invalidates stale sampled entries the same way StatsSchema guards
+// full-fidelity ones.
+var sampledKeySchema = "dmp-simcache-sampled-v1\x00" + sample.Schema() + "\x00"
 
 // Key identifies one simulation: a content hash of program, input and config.
 type Key [sha256.Size]byte
@@ -50,36 +57,35 @@ type Key [sha256.Size]byte
 // String returns the hexadecimal form of the key (the on-disk file stem).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// result is one memoized simulation. ready is closed once stats/err are
-// final, so concurrent requesters of the same key can block on it.
-type result struct {
-	ready chan struct{}
-	stats pipeline.Stats
-	err   error
-}
-
 // Cache memoizes pipeline runs. The zero value is not usable; construct with
 // New or FromEnv. A nil *Cache is valid and simply runs every simulation.
 type Cache struct {
-	dir string // "" = memory-only
-
-	mu   sync.Mutex
-	mem  map[Key]*result
-	smem map[Key]*sresult // sampled runs: estimates never answer for exact stats
-
-	// codeHash memoizes the program-content hash by annotation-sidecar
-	// identity: harness workloads simulate the same compiled binary under
-	// many sidecars, and WithAnnots shares the code segment across them.
-	codeMu   sync.Mutex
-	codeHash map[*isa.Inst][sha256.Size]byte
-
+	dir     string // "" = memory-only
+	full    *memo[pipeline.Stats]
+	sampled *memo[sample.Result]
 	metrics Metrics
 }
 
 // New returns a cache with an optional persistent directory (created on
 // first store). An empty dir keeps the cache memory-only.
+//
+// Entries live under schema-versioned subdirectories: "s-<StatsSchema>" for
+// full-fidelity runs and "sm-<sample.Schema>" for sampled ones. The
+// fingerprints are already folded into the keys; repeating them in the path
+// keeps generations physically separate, so stale-schema files can never be
+// picked up (and are easy to garbage-collect by directory).
 func New(dir string) *Cache {
-	return &Cache{dir: dir, mem: map[Key]*result{}, codeHash: map[*isa.Inst][sha256.Size]byte{}}
+	c := &Cache{dir: dir}
+	c.full = newMemo(&c.metrics, dir, "s-"+pipeline.StatsSchema(), pipeline.MarshalStats, pipeline.UnmarshalStats,
+		func(m *Metrics, st pipeline.Stats) {
+			m.simCycles.Add(st.Cycles)
+			m.simInsts.Add(st.Retired)
+		})
+	// Sampled runs count in Sampled only: their estimated cycles never
+	// enter SimCycles, which means cycles the pipeline really simulated.
+	c.sampled = newMemo(&c.metrics, dir, "sm-"+sample.Schema(), sample.MarshalResult, sample.UnmarshalResult,
+		func(m *Metrics, _ sample.Result) { m.sampled.Add(1) })
+	return c
 }
 
 // FromEnv returns a cache whose disk layer is controlled by DMP_CACHE_DIR.
@@ -93,33 +99,11 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// progHash returns the content hash of the program including annotations,
-// memoizing the (large, annotation-independent) prefix by code identity.
-func (c *Cache) progHash(p *isa.Program) [sha256.Size]byte {
-	if len(p.Annots) == 0 && len(p.Code) > 0 {
-		// Fast path for the un-annotated baseline binary: memoize whole-hash
-		// by code-segment identity.
-		id := &p.Code[0]
-		c.codeMu.Lock()
-		h, ok := c.codeHash[id]
-		c.codeMu.Unlock()
-		if ok {
-			return h
-		}
-		h = p.Hash()
-		c.codeMu.Lock()
-		c.codeHash[id] = h
-		c.codeMu.Unlock()
-		return h
-	}
-	return p.Hash()
-}
-
 // KeyOf derives the cache key for one simulation.
 func (c *Cache) KeyOf(prog *isa.Program, input []int64, cfg pipeline.Config) Key {
 	h := sha256.New()
 	h.Write([]byte(keySchema))
-	ph := c.progHash(prog)
+	ph := prog.Hash()
 	h.Write(ph[:])
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], uint64(len(input)))
@@ -135,106 +119,56 @@ func (c *Cache) KeyOf(prog *isa.Program, input []int64, cfg pipeline.Config) Key
 	return k
 }
 
+// KeyOfSampled derives the cache key for one sampled simulation: the
+// full-fidelity key of the underlying (program, input, config) triple,
+// extended with the sampling configuration's canonical form. Two runs with
+// equal canonical confs produce identical Results (interval placement is a
+// pure function of instruction count and conf), which is what makes sampled
+// runs memoizable at all.
+func (c *Cache) KeyOfSampled(prog *isa.Program, input []int64, cfg pipeline.Config, sc sample.SampleConf) Key {
+	base := c.KeyOf(prog, input, cfg)
+	h := sha256.New()
+	h.Write([]byte(sampledKeySchema))
+	h.Write(base[:])
+	h.Write(sc.AppendCanonical(nil))
+	var k Key
+	h.Sum(k[:0])
+	return k
+}
+
 // Run returns the memoized statistics for the simulation, executing it at
-// most once per process per distinct (program, input, config) triple. On a
-// nil cache it degenerates to pipeline.Run. Traced runs (cfg.Tracer != nil)
-// bypass memoization entirely: a cached answer would silently emit no
-// events, and the tracer is deliberately not part of the cache key.
-func (c *Cache) Run(prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
-	return c.RunCtx(context.Background(), prog, input, cfg)
-}
-
-// isCtxErr reports whether err stems from a cancelled or expired context.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// RunCtx is Run under a cancellation context. Cancellation never poisons the
-// cache: a run aborted by its context is evicted before its waiters wake, so
-// the next request for the same key computes the result afresh, and a waiter
-// deduplicating against a run that was cancelled by the *runner's* context
-// retries with its own (live) context instead of inheriting the error.
-func (c *Cache) RunCtx(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
+// most once per process per distinct (program, input, config) triple. The
+// simulation aborts when ctx ends; an aborted run is never memoized (see
+// memo.run). On a nil cache it degenerates to pipeline.RunCtx. Traced runs
+// (cfg.Tracer != nil) bypass memoization entirely: a cached answer would
+// silently emit no events, and the tracer is deliberately not part of the
+// cache key.
+func (c *Cache) Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
+	sim := func(ctx context.Context) (pipeline.Stats, error) { return pipeline.RunCtx(ctx, prog, input, cfg) }
 	if c == nil {
-		return pipeline.RunCtx(ctx, prog, input, cfg)
+		return sim(ctx)
 	}
 	if cfg.Tracer != nil {
-		c.metrics.bypasses.Add(1)
-		start := time.Now()
-		st, err := pipeline.RunCtx(ctx, prog, input, cfg)
-		c.metrics.simWallNS.Add(int64(time.Since(start)))
-		if err == nil {
-			c.metrics.simCycles.Add(st.Cycles)
-			c.metrics.simInsts.Add(st.Retired)
-		}
-		return st, err
+		return c.full.bypass(ctx, sim)
 	}
-	key := c.KeyOf(prog, input, cfg)
-
-	for {
-		c.mu.Lock()
-		if r, ok := c.mem[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-r.ready:
-				c.metrics.hits.Add(1)
-			default:
-				// Another goroutine is running this exact simulation; wait
-				// for it — or for our own context, whichever ends first.
-				c.metrics.dedups.Add(1)
-				select {
-				case <-r.ready:
-				case <-ctx.Done():
-					return pipeline.Stats{}, ctx.Err()
-				}
-			}
-			if r.err != nil && isCtxErr(r.err) {
-				// The runner was cancelled (and evicted the entry before
-				// closing ready). Our context may still be live: retry.
-				if err := ctx.Err(); err != nil {
-					return pipeline.Stats{}, err
-				}
-				continue
-			}
-			return r.stats, r.err
-		}
-		r := &result{ready: make(chan struct{})}
-		c.mem[key] = r
-		c.mu.Unlock()
-		return c.compute(ctx, key, r, prog, input, cfg)
-	}
+	return c.full.run(ctx, c.KeyOf(prog, input, cfg), sim)
 }
 
-// compute executes (or disk-loads) the simulation for a freshly inserted
-// in-flight entry, publishing the result to waiters when it returns.
-func (c *Cache) compute(ctx context.Context, key Key, r *result, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
-	defer close(r.ready)
-
-	if st, ok := c.loadDisk(key); ok {
-		c.metrics.diskHits.Add(1)
-		r.stats = st
-		return st, nil
+// RunSampled returns the memoized sample.Result for the sampled simulation,
+// executing it at most once per process per distinct (program, input,
+// config, sampling conf) tuple. Sampled entries live in their own memo and
+// on-disk namespace — a sampled estimate and a full-fidelity Stats are
+// different animals and must never answer for each other. Cancellation,
+// the nil cache and traced configs behave as in Run.
+func (c *Cache) RunSampled(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config, sc sample.SampleConf) (sample.Result, error) {
+	sim := func(ctx context.Context) (sample.Result, error) { return sample.Run(ctx, prog, input, cfg, sc) }
+	if c == nil {
+		return sim(ctx)
 	}
-
-	start := time.Now()
-	r.stats, r.err = pipeline.RunCtx(ctx, prog, input, cfg)
-	c.metrics.simWallNS.Add(int64(time.Since(start)))
-	if r.err != nil && isCtxErr(r.err) {
-		// Evict before the deferred close wakes any waiters: a cancelled
-		// run is not a result, and must not be memoized.
-		c.metrics.cancels.Add(1)
-		c.mu.Lock()
-		delete(c.mem, key)
-		c.mu.Unlock()
-		return r.stats, r.err
+	if cfg.Tracer != nil {
+		return c.sampled.bypass(ctx, sim)
 	}
-	c.metrics.misses.Add(1)
-	if r.err == nil {
-		c.metrics.simCycles.Add(r.stats.Cycles)
-		c.metrics.simInsts.Add(r.stats.Retired)
-		c.storeDisk(key, r.stats)
-	}
-	return r.stats, r.err
+	return c.sampled.run(ctx, c.KeyOfSampled(prog, input, cfg, sc), sim)
 }
 
 // Metrics returns a snapshot of the cache counters.
@@ -243,61 +177,4 @@ func (c *Cache) Metrics() Snapshot {
 		return Snapshot{}
 	}
 	return c.metrics.snapshot()
-}
-
-// diskPath places entries under a schema-versioned subdirectory. The Stats
-// fingerprint is already folded into the key hash; repeating it in the path
-// keeps generations physically separate, so stale-schema files can never be
-// picked up (and are easy to garbage-collect by directory).
-func (c *Cache) diskPath(key Key) string {
-	return filepath.Join(c.dir, "s-"+pipeline.StatsSchema(), key.String()+".json")
-}
-
-// loadDisk consults the persistent layer; any failure (missing file, stale
-// schema, corrupt entry) reads as a miss.
-func (c *Cache) loadDisk(key Key) (pipeline.Stats, bool) {
-	if c.dir == "" {
-		return pipeline.Stats{}, false
-	}
-	b, err := os.ReadFile(c.diskPath(key))
-	if err != nil {
-		return pipeline.Stats{}, false
-	}
-	st, err := pipeline.UnmarshalStats(b)
-	if err != nil {
-		return pipeline.Stats{}, false
-	}
-	return st, true
-}
-
-// storeDisk persists a result best-effort: a read-only or missing directory
-// never fails the simulation. The write is atomic (temp file + rename) so
-// concurrent processes sharing a cache directory cannot observe torn
-// entries.
-func (c *Cache) storeDisk(key Key, st pipeline.Stats) {
-	if c.dir == "" {
-		return
-	}
-	b, err := pipeline.MarshalStats(st)
-	if err != nil {
-		return
-	}
-	dir := filepath.Dir(c.diskPath(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, c.diskPath(key)); err != nil {
-		os.Remove(name)
-	}
 }

@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"dmp/internal/codegen"
 	"dmp/internal/isa"
 	"dmp/internal/pipeline"
+	"dmp/internal/sample"
 )
 
 const testSrc = `
@@ -82,11 +84,11 @@ func TestRunMemoizes(t *testing.T) {
 	in := testInput(500)
 	cfg := pipeline.DefaultConfig()
 
-	a, err := c.Run(p, in, cfg)
+	a, err := c.Run(context.Background(), p, in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Run(p, in, cfg)
+	b, err := c.Run(context.Background(), p, in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,91 +110,137 @@ func TestRunMemoizes(t *testing.T) {
 	}
 }
 
-func TestRunDeduplicatesConcurrent(t *testing.T) {
-	c := New("")
-	p := testProg(t)
-	in := testInput(2000)
-	cfg := pipeline.DefaultConfig()
+// namespace drives one of the cache's two memo instances through a common
+// signature, so behaviour tests run table-driven over both.
+type namespace struct {
+	name string
+	glob string // disk entry directory pattern
+	// slowN is an input length whose run lasts long enough to be
+	// cancelled mid-flight (sampled runs are several times faster).
+	slowN int
+	run   func(c *Cache, ctx context.Context, p *isa.Program, in []int64) (any, error)
+	// inflight returns the number of entries in the in-flight table.
+	inflight func(c *Cache) int
+}
 
-	const workers = 8
-	var wg sync.WaitGroup
-	results := make([]pipeline.Stats, workers)
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = c.Run(p, in, cfg)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if !reflect.DeepEqual(results[i], results[0]) {
-			t.Errorf("worker %d saw a different result", i)
-		}
-	}
-	m := c.Metrics()
-	if m.Misses != 1 {
-		t.Errorf("misses = %d, want exactly 1 execution", m.Misses)
-	}
-	if m.Hits+m.Dedups != workers-1 {
-		t.Errorf("hits+dedups = %d, want %d", m.Hits+m.Dedups, workers-1)
+var namespaces = []namespace{
+	{
+		name:  "full",
+		glob:  "s-*",
+		slowN: 200_000,
+		run: func(c *Cache, ctx context.Context, p *isa.Program, in []int64) (any, error) {
+			return c.Run(ctx, p, in, pipeline.DefaultConfig())
+		},
+		inflight: func(c *Cache) int { return inflight(c.full) },
+	},
+	{
+		name:  "sampled",
+		glob:  "sm-*",
+		slowN: 1_000_000,
+		run: func(c *Cache, ctx context.Context, p *isa.Program, in []int64) (any, error) {
+			return c.RunSampled(ctx, p, in, pipeline.DefaultConfig(), sample.DefaultConf())
+		},
+		inflight: func(c *Cache) int { return inflight(c.sampled) },
+	},
+}
+
+func inflight[V any](m *memo[V]) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.mem)
+}
+
+func TestRunDeduplicatesConcurrent(t *testing.T) {
+	for _, ns := range namespaces {
+		t.Run(ns.name, func(t *testing.T) {
+			c := New("")
+			p := testProg(t)
+			in := testInput(2000)
+
+			const workers = 8
+			var wg sync.WaitGroup
+			results := make([]any, workers)
+			errs := make([]error, workers)
+			for i := 0; i < workers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					results[i], errs[i] = ns.run(c, context.Background(), p, in)
+				}(i)
+			}
+			wg.Wait()
+			for i := 0; i < workers; i++ {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if !reflect.DeepEqual(results[i], results[0]) {
+					t.Errorf("worker %d saw a different result", i)
+				}
+			}
+			m := c.Metrics()
+			if m.Misses != 1 {
+				t.Errorf("misses = %d, want exactly 1 execution", m.Misses)
+			}
+			if m.Hits+m.Dedups != workers-1 {
+				t.Errorf("hits+dedups = %d, want %d", m.Hits+m.Dedups, workers-1)
+			}
+		})
 	}
 }
 
 func TestDiskLayer(t *testing.T) {
-	dir := t.TempDir()
-	p := testProg(t)
-	in := testInput(500)
-	cfg := pipeline.DefaultConfig()
+	for _, ns := range namespaces {
+		t.Run(ns.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p := testProg(t)
+			in := testInput(500)
 
-	warm := New(dir)
-	a, err := warm.Run(p, in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := filepath.Glob(filepath.Join(dir, "s-*", "*.json"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("cache dir entries = %v (err %v), want 1", entries, err)
-	}
+			warm := New(dir)
+			a, err := ns.run(warm, context.Background(), p, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := filepath.Glob(filepath.Join(dir, ns.glob, "*.json"))
+			if err != nil || len(entries) != 1 {
+				t.Fatalf("cache dir entries = %v (err %v), want 1", entries, err)
+			}
 
-	cold := New(dir)
-	b, err := cold.Run(p, in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("disk-cached result differs from simulated result")
-	}
-	m := cold.Metrics()
-	if m.DiskHits != 1 || m.Misses != 0 {
-		t.Errorf("metrics = %+v, want pure disk hit", m)
-	}
+			cold := New(dir)
+			b, err := ns.run(cold, context.Background(), p, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Error("disk-cached result differs from simulated result")
+			}
+			m := cold.Metrics()
+			if m.DiskHits != 1 || m.Misses != 0 {
+				t.Errorf("metrics = %+v, want pure disk hit", m)
+			}
 
-	// A corrupt entry must read as a miss, not an error.
-	if err := os.WriteFile(entries[0], []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec := New(dir)
-	cres, err := rec.Run(p, in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm := rec.Metrics(); rm.Misses != 1 || rm.DiskHits != 0 {
-		t.Errorf("corrupt entry metrics = %+v, want re-simulation", rm)
-	}
-	if !reflect.DeepEqual(cres, a) {
-		t.Error("re-simulated result differs")
+			// A corrupt entry must read as a miss, not an error.
+			if err := os.WriteFile(entries[0], []byte("not json"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec := New(dir)
+			cres, err := ns.run(rec, context.Background(), p, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rm := rec.Metrics(); rm.Misses != 1 || rm.DiskHits != 0 {
+				t.Errorf("corrupt entry metrics = %+v, want re-simulation", rm)
+			}
+			if !reflect.DeepEqual(cres, a) {
+				t.Error("re-simulated result differs")
+			}
+		})
 	}
 }
 
 func TestNilCacheRuns(t *testing.T) {
 	var c *Cache
 	p := testProg(t)
-	st, err := c.Run(p, testInput(100), pipeline.DefaultConfig())
+	st, err := c.Run(context.Background(), p, testInput(100), pipeline.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,10 @@
 # must hit the shared simulation cache, a /metrics scrape, and a SIGTERM
 # graceful-drain check), the sweep-engine smoke (a small benchmark x config
 # grid through cmd/dmpsweep with CSV streaming, run twice so the second
-# invocation exercises resume), and short deterministic fuzz smokes over the
-# DML parser and the emulator differential harness.
+# invocation exercises resume), the simulation-cache smoke (dmpsim run twice
+# per mode, full and sampled, against a fresh DMP_CACHE_DIR: the second run
+# must answer from disk), and short deterministic fuzz smokes over the DML
+# parser and the emulator differential harness.
 set -eux
 
 go vet ./...
@@ -36,5 +38,6 @@ rm -f .sweep-smoke.csv
 go run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 go run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 rm -f .sweep-smoke.csv
+sh scripts/cache_smoke.sh
 go test -run '^$' -fuzz=FuzzParse -fuzztime=30s ./internal/lang
 go test -run '^$' -fuzz=FuzzEmuDiff -fuzztime=30s ./internal/emu
